@@ -40,8 +40,12 @@ def gen_er_maxcut(n: int, p: float | None = None, seed: int = 0,
     if not 0.0 <= p <= 1.0:
         raise ValueError("edge probability must lie in [0, 1]")
     rng = np.random.default_rng(seed)
-    mask = np.triu(rng.random((n, n)) < p, k=1)
-    rows, cols = np.nonzero(mask)
+    # the upper triangle of one row-major n x n uniform draw, taken in row
+    # chunks of about 2**18 entries so the draw never holds n x n floats
+    step = max(1, (1 << 18) // n)
+    chunks = [np.argwhere(np.triu(rng.random((min(step, n - r0), n)) < p, k=r0 + 1))
+              + [r0, 0] for r0 in range(0, n, step)]
+    rows, cols = np.concatenate(chunks).T
     deg = np.zeros(n)
     np.add.at(deg, rows, 1.0)
     np.add.at(deg, cols, 1.0)

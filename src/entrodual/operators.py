@@ -1,10 +1,11 @@
 """Symmetric operators, spectral intervals, exponential action, dense Gibbs states.
 
-Everything here works on real symmetric matrices only. Operators are stored
-either as a full dense array or as a strictly-upper sparse part plus a diagonal,
-with lazy diagonal / block-diagonal / scalar-shift terms so that the shifted
-operators needed inside an iterative solver never force a sparse rebuild.
-"""
+Everything here works on real symmetric matrices only. An operator is one full
+symmetric base (CSR for sparse inputs, a dense array from from_dense) plus at
+most one diagonal vector and one block-diagonal stack. Shifting by a dual
+point only attaches add-ons and never copies the base; expm_action folds the
+operator, its add-ons and the Chebyshev affine map into one base-only operator
+per call, so each term of the recurrence costs a single product."""
 
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.io
 import scipy.sparse as sp
+from scipy.linalg.blas import daxpy
 from scipy.special import ive
 
 __all__ = [
@@ -26,52 +28,57 @@ __all__ = [
     "load_matrix_market",
 ]
 
-_SYM_TOL = 1e-12
+
+def _block_index(nblocks: int, k: int):
+    """Row and column indices, each (N, K, K), of the entries of blockdiag(blocks)."""
+    start = np.arange(nblocks)[:, None, None] * k
+    local = np.arange(k)
+    return start + local[None, :, None], start + local[None, None, :]
 
 
-def _block_diag_apply(blocks: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Apply blockdiag(blocks) to v. blocks has shape (N, K, K), v is (n,) or (n, S)."""
-    nblocks, k, _ = blocks.shape
-    squeeze = v.ndim == 1
-    if squeeze:
-        v = v[:, None]
-    out = np.einsum("bij,bjs->bis", blocks, v.reshape(nblocks, k, -1))
-    out = out.reshape(nblocks * k, -1)
-    return out[:, 0] if squeeze else out
+def _fold_pattern(base: sp.csr_array, k: int):
+    """CSR pattern of base + diagonal (+ K x K diagonal blocks when k > 0).
+
+    Returns (indptr, indices, positions): positions lists, for the base data,
+    the diagonal and the C-ordered (N, K, K) block entries, their slots in the
+    pattern's data array.
+    """
+    n = base.shape[0]
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(base.indptr))
+    parts = [rows * n + base.indices, np.arange(n, dtype=np.int64) * (n + 1)]
+    if k:
+        brow, bcol = _block_index(n // k, k)
+        parts.append((brow * n + bcol).ravel())
+    keys = np.sort(np.concatenate(parts))
+    keys = keys[np.append(True, keys[1:] != keys[:-1])]
+    idx = np.int32 if max(keys.size, n) < 2**31 else np.int64
+    indptr = np.zeros(n + 1, dtype=idx)
+    np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
+    return indptr, (keys % n).astype(idx), [np.searchsorted(keys, p) for p in parts]
 
 
 class SymOperator:
     """Real symmetric operator with a cheap matvec.
 
-    Base storage is either a dense symmetric array or a strictly-upper CSR
-    matrix plus its diagonal. On top of the base, three lazy terms can be
-    attached without copying the base: a diagonal vector, a scalar multiple of
-    the identity, and a symmetric block-diagonal stack. apply() sums all parts.
-    Instances are treated as immutable; composition methods return new objects
-    that share the unmodified parts.
+    The base is a full symmetric CSR matrix or a dense array. At most one
+    diagonal vector and one symmetric block-diagonal stack (N, K, K) with
+    N*K = n sit on top of it; apply() sums the three. Instances are treated as
+    immutable; add_* methods return new objects that share the base. The CSR
+    pattern of base + diagonal + blocks is built once per base and block size
+    and shared by every derived operator, so folding one into a single matrix
+    (folded) is a vectorised write into a fresh data array.
     """
 
-    def __init__(self, *, dense=None, upper=None, diag=None, shift=0.0,
-                 extra_diag=None, extra_blocks=None):
-        if dense is not None:
-            self.n = dense.shape[0]
-            assert dense.shape == (self.n, self.n)
-        else:
-            assert upper is not None and diag is not None
-            self.n = upper.shape[0]
-        self._dense = dense
-        self._upper = upper
-        self._diag = diag
-        self.shift = float(shift)
-        self.extra_diag = extra_diag
-        self.extra_blocks = extra_blocks
-        if extra_blocks is not None:
-            nb, k, k2 = extra_blocks.shape
+    def __init__(self, base, diag=None, blocks=None, _patterns=None):
+        self.base = base
+        self.n = base.shape[0]
+        assert base.shape == (self.n, self.n)
+        self.diag = diag
+        self.blocks = blocks
+        if blocks is not None:
+            nb, k, k2 = blocks.shape
             assert k == k2 and nb * k == self.n, "block stack does not tile the diagonal"
-
-    @property
-    def is_dense(self) -> bool:
-        return self._dense is not None
+        self._patterns = {} if _patterns is None else _patterns
 
     # ---- constructors -------------------------------------------------
 
@@ -83,7 +90,7 @@ class SymOperator:
         scale = max(1.0, np.abs(a).max()) if a.size else 1.0
         if np.abs(a - a.T).max(initial=0.0) > tol * scale:
             raise ValueError("input matrix is not symmetric")
-        return cls(dense=(a + a.T) / 2.0)
+        return cls((a + a.T) / 2.0)
 
     @classmethod
     def from_triplets(cls, n: int, rows, cols, vals) -> "SymOperator":
@@ -95,14 +102,12 @@ class SymOperator:
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         vals = np.asarray(vals, dtype=float)
-        lo = np.minimum(rows, cols)
-        hi = np.maximum(rows, cols)
-        coo = sp.coo_array((vals, (lo, hi)), shape=(n, n))
-        coo.sum_duplicates()
-        full_upper = coo.tocsr()
-        diag = full_upper.diagonal().copy()
-        strict = sp.triu(full_upper, k=1).tocsr()
-        return cls(upper=strict, diag=diag)
+        off = rows != cols
+        base = sp.csr_array((np.concatenate([vals, vals[off]]),
+                             (np.concatenate([rows, cols[off]]),
+                              np.concatenate([cols, rows[off]]))), shape=(n, n))
+        base.sum_duplicates()
+        return cls(base)
 
     @classmethod
     def from_sparse(cls, m, tol: float = 1e-8) -> "SymOperator":
@@ -113,113 +118,81 @@ class SymOperator:
         asym = abs(m - m.T)
         if asym.nnz and asym.data.max() > tol * scale:
             raise ValueError("input sparse matrix is not symmetric")
-        diag = m.diagonal().copy()
-        strict = sp.triu((m + m.T) / 2.0, k=1).tocsr()
-        return cls(upper=strict, diag=diag)
+        base = sp.csr_array((m + m.T) / 2.0)
+        base.sum_duplicates()
+        return cls(base)
 
     @classmethod
     def zeros(cls, n: int) -> "SymOperator":
-        return cls(upper=sp.csr_array((n, n)), diag=np.zeros(n))
+        return cls(sp.csr_array((n, n)))
 
     # ---- algebra ------------------------------------------------------
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """Matrix-vector (or matrix-block) product. v is (n,) or (n, S)."""
         v = np.asarray(v, dtype=float)
-        if self._dense is not None:
-            out = self._dense @ v
-        else:
-            out = self._upper @ v + self._upper.T @ v
-            d = self._diag
-            out += d[:, None] * v if v.ndim == 2 else d * v
-        if self.extra_diag is not None:
-            e = self.extra_diag
-            out += e[:, None] * v if v.ndim == 2 else e * v
-        if self.shift != 0.0:
-            out += self.shift * v
-        if self.extra_blocks is not None:
-            out += _block_diag_apply(self.extra_blocks, v)
+        out = self.base @ v
+        if self.diag is not None:
+            out += self.diag[:, None] * v if v.ndim == 2 else self.diag * v
+        if self.blocks is not None:
+            nb, k, _ = self.blocks.shape
+            out += (self.blocks @ v.reshape(nb, k, -1)).reshape(out.shape)
         return out
 
     def add_diagonal(self, d: np.ndarray) -> "SymOperator":
         d = np.asarray(d, dtype=float)
         assert d.shape == (self.n,)
-        new = d if self.extra_diag is None else self.extra_diag + d
-        return SymOperator(dense=self._dense, upper=self._upper, diag=self._diag,
-                           shift=self.shift, extra_diag=new,
-                           extra_blocks=self.extra_blocks)
+        new = d if self.diag is None else self.diag + d
+        return SymOperator(self.base, new, self.blocks, self._patterns)
 
     def add_scalar(self, c: float) -> "SymOperator":
-        return SymOperator(dense=self._dense, upper=self._upper, diag=self._diag,
-                           shift=self.shift + float(c), extra_diag=self.extra_diag,
-                           extra_blocks=self.extra_blocks)
+        return self.add_diagonal(np.full(self.n, float(c)))
 
     def add_block_diag(self, blocks: np.ndarray) -> "SymOperator":
         """Add blockdiag(blocks), blocks shaped (N, K, K) with N*K = n."""
         blocks = np.asarray(blocks, dtype=float)
-        new = blocks if self.extra_blocks is None else self.extra_blocks + blocks
-        return SymOperator(dense=self._dense, upper=self._upper, diag=self._diag,
-                           shift=self.shift, extra_diag=self.extra_diag,
-                           extra_blocks=new)
+        new = blocks if self.blocks is None else self.blocks + blocks
+        return SymOperator(self.base, self.diag, new, self._patterns)
 
-    def scale(self, alpha: float) -> "SymOperator":
-        alpha = float(alpha)
-        dense = None if self._dense is None else alpha * self._dense
-        upper = None if self._upper is None else self._upper * alpha
-        diag = None if self._diag is None else alpha * self._diag
-        ed = None if self.extra_diag is None else alpha * self.extra_diag
-        eb = None if self.extra_blocks is None else alpha * self.extra_blocks
-        return SymOperator(dense=dense, upper=upper, diag=diag,
-                           shift=alpha * self.shift, extra_diag=ed, extra_blocks=eb)
+    def folded(self, alpha: float = 1.0, shift: float = 0.0) -> "SymOperator":
+        """alpha * self + shift * I as a base-only operator with a fresh base.
+
+        A CSR result shares its index arrays with the cached pattern, so they
+        must not be modified in place.
+        """
+        d = shift if self.diag is None else alpha * self.diag + shift
+        if isinstance(self.base, np.ndarray):
+            out = alpha * self.base
+            out[np.diag_indices(self.n)] += d
+            if self.blocks is not None:
+                out[_block_index(*self.blocks.shape[:2])] += alpha * self.blocks
+            return SymOperator(out)
+        k = 0 if self.blocks is None else self.blocks.shape[1]
+        if k not in self._patterns:
+            self._patterns[k] = _fold_pattern(self.base, k)
+        indptr, indices, pos = self._patterns[k]
+        data = np.zeros(indices.size)
+        data[pos[0]] = alpha * self.base.data
+        data[pos[1]] += d
+        if k:
+            data[pos[2]] += alpha * self.blocks.ravel()
+        return SymOperator(sp.csr_array((data, indices, indptr),
+                                        shape=(self.n, self.n)))
 
     def to_dense(self) -> np.ndarray:
-        if self._dense is not None:
-            out = self._dense.copy()
-        else:
-            u = self._upper.toarray()
-            out = u + u.T + np.diag(self._diag)
-        if self.extra_diag is not None:
-            out[np.diag_indices(self.n)] += self.extra_diag
-        if self.shift != 0.0:
-            out[np.diag_indices(self.n)] += self.shift
-        if self.extra_blocks is not None:
-            nb, k, _ = self.extra_blocks.shape
-            for i in range(nb):
-                sl = slice(i * k, (i + 1) * k)
-                out[sl, sl] += self.extra_blocks[i]
-        return out
+        base = self.folded().base
+        return base if isinstance(base, np.ndarray) else base.toarray()
 
     def to_sparse(self):
-        """Materialize as CSR, including any attached diagonal, shift, and blocks."""
-        if self._dense is not None:
-            out = sp.csr_array(self._dense)
-        else:
-            out = (self._upper + self._upper.T
-                   + sp.diags_array(self._diag, format="csr"))
-        if self.extra_diag is not None:
-            out = out + sp.diags_array(self.extra_diag, format="csr")
-        if self.shift != 0.0:
-            out = out + sp.diags_array(np.full(self.n, self.shift), format="csr")
-        if self.extra_blocks is not None:
-            out = out + sp.csr_array(sp.block_diag(list(self.extra_blocks)))
-        return sp.csr_array(out)
+        """Materialize as CSR, including any attached diagonal and blocks."""
+        out = sp.csr_array(self.folded().base, copy=True)
+        out.eliminate_zeros()
+        return out
 
     def inf_norm_bound(self) -> float:
         """Max absolute row sum of the full operator; upper-bounds the spectral radius."""
-        if self._dense is not None:
-            row = np.abs(self._dense).sum(axis=1)
-        else:
-            au = abs(self._upper)
-            row = au.sum(axis=1) + au.sum(axis=0) + np.abs(self._diag)
-        row = np.asarray(row, dtype=float).ravel()
-        if self.extra_diag is not None:
-            row += np.abs(self.extra_diag)
-        if self.shift != 0.0:
-            row += abs(self.shift)
-        if self.extra_blocks is not None:
-            brow = np.abs(self.extra_blocks).sum(axis=2).ravel()
-            row += brow
-        return float(row.max()) if row.size else 0.0
+        row = abs(self.folded().base).sum(axis=1)
+        return float(np.max(row, initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -330,33 +303,44 @@ def _chebyshev_degree(half_width: float, tol: float) -> np.ndarray:
 
 
 def expm_action(op: SymOperator, interval: SpectralInterval, z: np.ndarray,
-                tol: float = 1e-10) -> np.ndarray:
-    """Compute exp(op) @ z by Clenshaw evaluation of a Chebyshev expansion.
+                tol: float = 1e-10, *, scale: float = 1.0,
+                shift: float = 0.0) -> np.ndarray:
+    """Compute exp(scale * op + shift * I) @ z by Clenshaw evaluation of a Chebyshev expansion.
 
-    interval must contain the spectrum of op; the expansion lives on it after
-    an affine map to [-1, 1]. Accuracy is relative to the dominant spectral
-    scale exp(interval.hi); callers that need normalized output should shift
-    the operator so hi is near zero before calling (the shift factors out).
+    interval must contain the spectrum of op; the expansion lives on its image
+    under x -> scale * x + shift, after an affine map to [-1, 1]. The operator,
+    scale, shift and that map are folded into one base-only operator, so each
+    term of the recurrence is one apply plus in-place updates. Accuracy is
+    relative to the dominant spectral scale exp(top of the mapped interval);
+    callers that need normalized output should choose shift so the top is
+    near zero (the shift factors out).
     """
     if not 0.0 < tol < 1.0:
         raise ValueError("tol must lie in (0, 1)")
-    z = np.asarray(z, dtype=float)
-    c = interval.center
-    h = 0.5 * interval.width
+    z = np.ascontiguousarray(z, dtype=float)
+    mapped = interval.scaled(scale).shifted(shift)
+    c = mapped.center
+    h = 0.5 * mapped.width
     if h <= 1e-14 * max(1.0, abs(c)):
         return np.exp(c) * z
     q = _chebyshev_degree(h, tol)
-    inv_h = 1.0 / h
-
-    def bmap(v):
-        return (op.apply(v) - c * v) * inv_h
-
+    # twice the affine map (scale * op + (shift - c) I) / h, folded once
+    double = op.folded(2.0 * scale / h, 2.0 * (shift - c) / h)
+    flat = z.reshape(-1)
     b1 = np.zeros_like(z)
     b2 = np.zeros_like(z)
     for k in range(len(q) - 1, 0, -1):
-        b1, b2 = q[k] * z + 2.0 * bmap(b1) - b2, b1
-    y = q[0] * z + bmap(b1) - b2
-    return np.exp(c + h) * y
+        b0 = double.apply(b1)
+        b0 -= b2
+        b0 = daxpy(flat, b0.reshape(-1), a=q[k]).reshape(z.shape)
+        b1, b2 = b0, b1
+    y = double.apply(b1)
+    y *= 0.5
+    y -= b2
+    y = daxpy(flat, y.reshape(-1), a=q[0]).reshape(z.shape)
+    if c + h != 0.0:
+        y *= np.exp(c + h)
+    return y
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from numpy.random import Generator, Philox
+from numpy.random import Philox
 
 from entrodual.operators import SpectralInterval, SymOperator, expm_action
 
@@ -29,18 +29,29 @@ def draw_probes(n: int, num_samples: int, seed: int, iteration: int) -> np.ndarr
     (0, 0, iteration, s), with the key set from seed. Putting the column and
     iteration indices in the high words keeps per-column streams disjoint, so
     the same (seed, iteration, s) always yields the same column regardless of
-    how many columns are requested.
+    how many columns are requested. The column equals
+    Generator(Philox(key, counter)).integers(0, 2, n) mapped to signs: entry i
+    is the top bit of the low (even i) or high (odd i) half of raw word i // 2.
     """
     if num_samples < 1:
         raise ValueError("need at least one probe column")
     if n < 1:
         raise ValueError("dimension must be positive")
-    key = int(seed) & ((1 << 128) - 1)
-    out = np.empty((n, num_samples))
+    bg = Philox(key=int(seed) & ((1 << 128) - 1))
+    state = bg.state
+    counter = np.zeros(4, dtype=np.uint64)
+    counter[2] = int(iteration) & _MASK64
+    words = np.empty((num_samples, (n + 1) // 2), dtype="<u8")
+    # the fresh state's output buffer is empty, so each column starts at its counter
     for s in range(num_samples):
-        bg = Philox(key=key, counter=[0, 0, int(iteration) & _MASK64, s])
-        bits = Generator(bg).integers(0, 2, size=n)
-        out[:, s] = 2.0 * bits - 1.0
+        counter[3] = s
+        state["state"]["counter"] = counter
+        bg.state = state
+        words[s] = bg.random_raw(words.shape[1])
+    bits = words.view("<u4")[:, :n] >> 31
+    out = np.empty((n, num_samples))
+    np.multiply(bits.T, 2.0, out=out)
+    out -= 1.0
     return out
 
 
@@ -117,10 +128,8 @@ def probe_gibbs(op: SymOperator, beta: float, interval: SpectralInterval,
     if z.ndim == 1:
         z = z[:, None]
     half = 0.5 * beta
-    exp_op = op.add_scalar(-interval.lo).scale(-half)
-    exp_iv = SpectralInterval(-half * interval.width, 0.0,
-                              margin=interval.margin, certified=interval.certified)
-    w = expm_action(exp_op, exp_iv, z, tol=tol)
+    w = expm_action(op, interval, z, tol=tol, scale=-half,
+                    shift=half * interval.lo)
     trace_hat = float(np.mean(np.sum(w * w, axis=0)))
     return ProbeBatch(images=w, trace_hat=trace_hat,
                       log_scale=-half * interval.lo, seed_path=seed_path)

@@ -35,6 +35,14 @@ class TestErMaxCut:
         sigma = math.sqrt(pairs * prob * (1 - prob))
         assert abs(np.mean(counts) - mean) < 4 * sigma / math.sqrt(100)
 
+    def test_edges_match_one_full_uniform_draw(self):
+        # the generator draws in row chunks; the edge set must equal that of
+        # one row-major n x n draw from the same stream
+        n, prob = 1100, 0.01
+        upper = np.triu(np.random.default_rng(3).random((n, n)) < prob, k=1)
+        c = gen_er_maxcut(n, prob, seed=3).cost.to_dense()
+        assert np.array_equal(np.triu(c, k=1) != 0.0, upper)
+
     def test_default_probability_and_determinism(self):
         a = gen_er_maxcut(40, seed=7)
         b = gen_er_maxcut(40, seed=7)

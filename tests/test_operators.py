@@ -5,6 +5,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
+from scipy.sparse.linalg import expm_multiply
 
 from entrodual import (
     SpectralInterval,
@@ -15,6 +16,9 @@ from entrodual import (
     spectral_bounds,
     vn_entropy,
 )
+from entrodual.probes import probe_gibbs
+from entrodual.problems import (MaxCutProblem, StrongPermSyncProblem,
+                                WeakPermSyncProblem)
 
 
 def random_symmetric(rng, n, norm=None):
@@ -79,7 +83,7 @@ class TestApply:
         blocks = np.stack([random_symmetric(rng, 4) for _ in range(2)])
         d = rng.standard_normal(8)
         op = SymOperator.from_dense(a).add_diagonal(d).add_scalar(-0.3)
-        op = op.add_block_diag(blocks).scale(1.7)
+        op = op.add_block_diag(blocks).folded(1.7)
         ref = a + np.diag(d) - 0.3 * np.eye(8)
         ref[:4, :4] += blocks[0]
         ref[4:, 4:] += blocks[1]
@@ -199,12 +203,99 @@ class TestExpmAction:
             beta = rng.uniform(0.1, 5.0)
             a = random_symmetric(rng, n)
             a *= min(1.0, 50.0 / (beta * np.abs(np.linalg.eigvalsh(a)).max()))
-            op = SymOperator.from_dense(a).scale(-beta)
+            op = SymOperator.from_dense(a).folded(-beta)
             z = rng.standard_normal(n)
             y = expm_action(op, spectral_bounds(op, seed=k), z, tol=1e-10)
             g = dense_gibbs(SymOperator.from_dense(a), beta)
             ref = np.exp(g.log_partition) * (g.density @ z)
             assert np.linalg.norm(y - ref) <= 1e-8 * np.linalg.norm(ref)
+
+
+NB, K = 4, 3
+
+
+def shifted_case(base_kind, family, rng):
+    """(operator, reference matrix) for one base kind and one problem's add-ons.
+
+    The cost has entries inside the diagonal blocks, so the diagonal and block
+    add-ons land on positions the base already holds.
+    """
+    n = NB * K
+    a = random_symmetric(rng, n, norm=2.0)
+    a[np.abs(a) < 0.05] = 0.0
+    cost = (SymOperator.from_dense(a) if base_kind == "dense"
+            else SymOperator.from_sparse(sp.csr_array(a)))
+    ref = a.copy()
+    lam = rng.standard_normal(n)
+    g = rng.standard_normal((NB, K, K))
+    blocks = (g + g.transpose(0, 2, 1)) / 2.0
+    mu = rng.standard_normal(NB)
+    if family == "cost":
+        return cost, ref
+    if family == "maxcut":
+        ref -= np.diag(lam)
+        return MaxCutProblem(cost, np.full(n, 1.0 / n), 1.0).shifted_operator(lam), ref
+    if family == "strong":
+        ref -= sp.block_diag(list(blocks)).toarray()
+        return StrongPermSyncProblem(cost, NB, K, 1.0).shifted_operator(blocks), ref
+    ref -= np.diag(lam)
+    ref -= sp.block_diag([m * np.ones((K, K)) / K for m in mu]).toarray()
+    return WeakPermSyncProblem(cost, NB, K, 1.0).shifted_operator((lam, mu)), ref
+
+
+@pytest.mark.parametrize("family", ["cost", "maxcut", "strong", "weak"])
+@pytest.mark.parametrize("base_kind", ["dense", "sparse"])
+class TestFoldedKernel:
+    def test_apply_to_dense_to_sparse_agree(self, base_kind, family):
+        rng = np.random.default_rng(21)
+        op, ref = shifted_case(base_kind, family, rng)
+        v = rng.standard_normal((NB * K, 5))
+        np.testing.assert_allclose(op.to_dense(), ref, atol=1e-14)
+        np.testing.assert_allclose(op.to_sparse().toarray(), ref, atol=1e-14)
+        np.testing.assert_allclose(op.apply(v), ref @ v, atol=1e-13)
+        np.testing.assert_allclose(op.apply(v[:, 0]), ref @ v[:, 0], atol=1e-13)
+        folded = op.folded(-0.7, 0.3)
+        assert folded.diag is None and folded.blocks is None
+        np.testing.assert_allclose(folded.apply(v), (-0.7 * ref + 0.3 * np.eye(NB * K)) @ v,
+                                   atol=1e-13)
+        assert op.inf_norm_bound() == pytest.approx(np.abs(ref).sum(axis=1).max(),
+                                                     rel=1e-14)
+
+    def test_expm_action_matches_expm_multiply(self, base_kind, family):
+        rng = np.random.default_rng(22)
+        op, ref = shifted_case(base_kind, family, rng)
+        z = rng.standard_normal((NB * K, 6))
+        iv = spectral_bounds(op, seed=1)
+        y = expm_action(op, iv, z, tol=1e-12)
+        want = expm_multiply(sp.csr_array(ref), z)
+        assert np.linalg.norm(y - want) <= 1e-10 * np.linalg.norm(want)
+        # shift puts the top of the mapped interval at -0.5
+        shift = 1.5 * iv.lo - 0.5
+        y = expm_action(op, iv, z[:, 0], tol=1e-12, scale=-1.5, shift=shift)
+        want = expm_multiply(sp.csr_array(-1.5 * ref + shift * np.eye(NB * K)), z[:, 0])
+        assert np.linalg.norm(y - want) <= 1e-10 * np.linalg.norm(want)
+
+    def test_probe_gibbs_matches_expm_multiply(self, base_kind, family):
+        rng = np.random.default_rng(23)
+        op, ref = shifted_case(base_kind, family, rng)
+        z = rng.choice([-1.0, 1.0], size=(NB * K, 8))
+        beta = 3.0
+        iv = spectral_bounds(op, seed=2)
+        batch = probe_gibbs(op, beta, iv, z, tol=1e-12)
+        shifted = -0.5 * beta * (ref - iv.lo * np.eye(NB * K))
+        want = expm_multiply(sp.csr_array(shifted), z)
+        assert np.linalg.norm(batch.images - want) <= 1e-10 * np.linalg.norm(want)
+        assert batch.log_scale == -0.5 * beta * iv.lo
+
+    def test_zero_width_interval_returns_scaled_probes(self, base_kind, family):
+        rng = np.random.default_rng(24)
+        op, _ = shifted_case(base_kind, family, rng)
+        z = rng.standard_normal((NB * K, 3))
+        np.testing.assert_array_equal(
+            expm_action(op, SpectralInterval(0.6, 0.6), z), np.exp(0.6) * z)
+        np.testing.assert_array_equal(
+            expm_action(op, SpectralInterval(0.6, 0.6), z, scale=-2.0, shift=0.5),
+            np.exp(-0.7) * z)
 
 
 class TestDenseGibbs:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
 
 from entrodual import SymOperator, dense_gibbs, spectral_bounds
 from entrodual.probes import (
@@ -44,6 +45,17 @@ class TestDrawProbes:
         a = draw_probes(64, 1, seed=0, iteration=0)
         b = draw_probes(64, 1, seed=0, iteration=1)
         assert np.any(a != b)
+
+    @pytest.mark.parametrize("n, num, seed, iteration", [
+        (1, 1, 0, 0), (2, 3, 1, 1), (37, 11, 5, 2), (400, 21, 2**100 + 7, 2**63),
+    ])
+    def test_column_is_numpy_philox_stream(self, n, num, seed, iteration):
+        # column s is Generator(Philox(key=seed, counter=(0, 0, iteration, s))).integers(0, 2, n)
+        z = draw_probes(n, num, seed=seed, iteration=iteration)
+        for s in range(num):
+            bg = Philox(key=seed, counter=[0, 0, iteration, s])
+            bits = Generator(bg).integers(0, 2, size=n)
+            np.testing.assert_array_equal(z[:, s], 2.0 * bits - 1.0)
 
     def test_bad_args(self):
         with pytest.raises(ValueError):
