@@ -1,0 +1,130 @@
+"""Convergence profiles for the three problem families, one subcommand each.
+
+maxcut: stochastic solves on Erdos-Renyi cut relaxations (edge probability
+3/n) at several sizes with S = ceil(coef log n) probes; the averaged
+feasibility curves should coincide across sizes (dimension independence).
+ot: exact solves on entropic transport with the dual objective recorded, on
+a bright square over dim noise or, with --images, a pooled pair from an IDX
+image file (0.01 added per pixel).
+permsynch: both synchronization relaxations at beta = 10 log(N)/N with
+S = ceil(8 K log N) probes; strong pins every diagonal block (registry
+ceil(N/2)), weak only the diagonal and the block mass (registry K).
+
+Each run writes per-replicate traces, an averaged curve and a JSON summary.
+"""
+
+import argparse
+import math
+from pathlib import Path
+
+from entrodual.experiments import ExperimentSpec, run_experiment
+from entrodual.solver import SolverConfig
+
+
+def maxcut_specs(args):
+    out = Path(args.out)
+    for n in args.sizes:
+        samples = math.ceil(args.probe_coef * math.log(n))
+        yield f"n={n:5d}  S={samples:4d}", ExperimentSpec(
+            kind="maxcut",
+            params={"n": n, "beta": args.beta},
+            config=SolverConfig(beta=args.beta, eta=1.0 / args.beta,
+                                iters=args.iters, samples=samples,
+                                seed=args.seed),
+            out_dir=str(out / f"n{n}"),
+            replicates=args.replicates,
+            name=f"maxcut_n{n}",
+        )
+
+
+def ot_specs(args):
+    if args.images:
+        kind = "ot-mnist"
+        params = {"path": args.images, "k": args.k, "beta": args.beta}
+        name = f"ot_images_k{args.k}"
+    else:
+        kind = "ot-synthetic"
+        params = {"k": args.k, "beta": args.beta}
+        name = f"ot_synthetic_k{args.k}"
+    yield f"{kind} k={args.k}", ExperimentSpec(
+        kind=kind,
+        params=params,
+        config=SolverConfig(beta=args.beta, eta=1.0 / args.beta,
+                            iters=args.iters, seed=args.seed,
+                            record_objective=True),
+        out_dir=str(Path(args.out)),
+        replicates=args.replicates,
+        name=name,
+    )
+
+
+def permsynch_specs(args):
+    n_img, k = args.num_images, args.keypoints
+    n = n_img * k
+    beta = 10.0 * math.log(n) / n
+    samples = math.ceil(8 * k * math.log(n))
+    out = Path(args.out)
+    for kind in args.kinds:
+        if kind == "ps-strong":
+            registry = max(k, math.ceil(n_img / 2))
+            corruption = 0.15
+        else:
+            registry = k
+            corruption = 0.10
+        yield (f"{kind:9s}  N={n_img} K={k} beta={beta:.4f} S={samples}",
+               ExperimentSpec(
+                   kind=kind,
+                   params={"num_images": n_img, "keypoints": k,
+                           "registry": registry, "corruption": corruption,
+                           "beta": beta},
+                   config=SolverConfig(beta=beta, eta=1.0 / beta,
+                                       iters=args.iters, samples=samples,
+                                       seed=args.seed),
+                   out_dir=str(out / kind),
+                   replicates=args.replicates,
+                   name=f"{kind}_N{n_img}_K{k}",
+               ))
+
+
+def build_parser() -> argparse.ArgumentParser:
+    ap = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    sub = ap.add_subparsers(dest="family", required=True)
+
+    def add(name, specs, iters, replicates, out):
+        p = sub.add_parser(name)
+        p.add_argument("--iters", type=int, default=iters)
+        p.add_argument("--replicates", type=int, default=replicates)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--out", default=out)
+        p.set_defaults(specs=specs)
+        return p
+
+    p = add("maxcut", maxcut_specs, 200, 5, "results/maxcut_profile")
+    p.add_argument("--sizes", type=int, nargs="+", default=[50, 100, 200])
+    p.add_argument("--beta", type=float, default=10.0)
+    p.add_argument("--probe-coef", type=float, default=25.0,
+                   help="S = ceil(coef * log n)")
+    p = add("ot", ot_specs, 500, 5, "results/ot_profile")
+    p.add_argument("--k", type=int, default=8, help="image side length")
+    p.add_argument("--beta", type=float, default=10.0)
+    p.add_argument("--images", default=None,
+                   help="IDX image file; switches to pooled real images")
+    p = add("permsynch", permsynch_specs, 200, 3, "results/permsynch_profile")
+    p.add_argument("--num-images", type=int, default=20)
+    p.add_argument("--keypoints", type=int, default=10)
+    p.add_argument("--kinds", nargs="+", default=["ps-strong", "ps-weak"],
+                   choices=["ps-strong", "ps-weak"])
+    return ap
+
+
+def main(argv=None) -> None:
+    args = build_parser().parse_args(argv)
+    for label, spec in args.specs(args):
+        summary = run_experiment(spec)
+        print(f"{label}  replicates ok {summary['succeeded']}/{spec.replicates}  "
+              f"avg -> {summary.get('averaged_csv', 'none')}")
+
+
+if __name__ == "__main__":
+    main()

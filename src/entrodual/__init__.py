@@ -11,7 +11,7 @@ from entrodual.datasets import (
     sinkhorn_reference,
 )
 from entrodual.experiments import ExperimentSpec, build_problem, run_experiment
-from entrodual.norms import NormFamily, dual_norm, dual_step, primal_norm
+from entrodual.norms import NormFamily, dual_norm, primal_norm
 from entrodual.operators import (
     DenseGibbs,
     SpectralInterval,
@@ -22,13 +22,7 @@ from entrodual.operators import (
     spectral_bounds,
     vn_entropy,
 )
-from entrodual.probes import (
-    FunctionalRequest,
-    ProbeBatch,
-    draw_probes,
-    estimate_functional,
-    probe_gibbs,
-)
+from entrodual.probes import ProbeBatch, draw_probes, probe_gibbs
 from entrodual.problems import (
     MaxCutProblem,
     OTProblem,
@@ -59,7 +53,6 @@ __all__ = [
     "CertificateReport",
     "DenseGibbs",
     "ExperimentSpec",
-    "FunctionalRequest",
     "MaxCutProblem",
     "NormFamily",
     "OTProblem",
@@ -79,8 +72,6 @@ __all__ = [
     "dense_gibbs",
     "draw_probes",
     "dual_norm",
-    "dual_step",
-    "estimate_functional",
     "expm_action",
     "gen_er_maxcut",
     "gen_permsynch",

@@ -11,17 +11,14 @@ against its a-priori gradient-decay bound.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import scipy.io
 
-from entrodual.datasets import (PermSynchModel, gen_er_maxcut, gen_permsynch,
-                                gen_synthetic_ot, load_mnist_pair)
+from entrodual.experiments import build_problem
 from entrodual.operators import dense_gibbs, load_matrix_market
 from entrodual.problems import (MaxCutProblem, OTProblem,
                                 StrongPermSyncProblem, WeakPermSyncProblem)
@@ -56,9 +53,17 @@ def write_problem(problem, out_dir) -> Path:
 
 def load_problem(path, beta: float | None = None):
     p = Path(path)
-    meta = json.loads((p / "meta.json").read_text())
-    kind = meta["kind"]
-    beta = float(meta["beta"]) if beta is None else float(beta)
+    meta_path = p / "meta.json"
+    try:
+        meta = json.loads(meta_path.read_text())
+        kind = meta["kind"]
+        beta = float(meta["beta"]) if beta is None else float(beta)
+        if kind in ("ps-strong", "ps-weak"):
+            blocks = (meta["num_images"], meta["block_size"])
+    except KeyError as err:
+        raise ValueError(f"{meta_path}: missing field {err}") from None
+    except (TypeError, ValueError) as err:
+        raise ValueError(f"{meta_path}: {err}") from None
     if kind == "ot":
         cost = scipy.io.mmread(p / "cost.mtx")
         if hasattr(cost, "toarray"):
@@ -70,12 +75,10 @@ def load_problem(path, beta: float | None = None):
     if kind == "maxcut":
         return MaxCutProblem(cost, np.loadtxt(p / "b.txt", ndmin=1), beta)
     if kind == "ps-strong":
-        return StrongPermSyncProblem(cost, meta["num_images"],
-                                     meta["block_size"], beta)
+        return StrongPermSyncProblem(cost, *blocks, beta)
     if kind == "ps-weak":
-        return WeakPermSyncProblem(cost, meta["num_images"],
-                                   meta["block_size"], beta)
-    raise ValueError(f"unknown problem kind '{kind}' in {p / 'meta.json'}")
+        return WeakPermSyncProblem(cost, *blocks, beta)
+    raise ValueError(f"unknown problem kind '{kind}' in {meta_path}")
 
 
 def _load_estimate(path) -> np.ndarray:
@@ -93,20 +96,9 @@ def _load_estimate(path) -> np.ndarray:
 # ---- gen -------------------------------------------------------------------
 
 def _cmd_gen(args) -> int:
-    if args.kind == "maxcut":
-        problem = gen_er_maxcut(args.n, args.p, seed=args.seed, beta=args.beta)
-    elif args.kind == "ot-synthetic":
-        problem = gen_synthetic_ot(args.k, seed=args.seed, beta=args.beta)
-    elif args.kind == "ot-mnist":
-        problem = load_mnist_pair(args.images, args.k, seed=args.seed,
-                                  beta=args.beta)
-    else:
-        model = PermSynchModel(num_images=args.num_images,
-                               keypoints=args.keypoints,
-                               registry=args.registry,
-                               corruption=args.corruption, seed=args.seed)
-        problem = gen_permsynch(model, args.beta,
-                                args.kind.removeprefix("ps-"))
+    params = {k: v for k, v in vars(args).items()
+              if k not in ("command", "kind", "func", "seed", "out")}
+    problem = build_problem(args.kind, params, args.seed)
     out = write_problem(problem, args.out)
     desc = problem.descriptor()
     print(f"wrote {desc['kind']} instance "
@@ -208,37 +200,10 @@ def _cmd_round(args) -> int:
 
 # ---- certify ---------------------------------------------------------------
 
-def _read_trace(csv_path, meta_path) -> SolverTrace:
-    with open(csv_path) as fh:
-        rows = list(csv.reader(fh))[1:]
-    if not rows:
-        raise ValueError(f"no data rows in {csv_path}")
-    meta = json.loads(Path(meta_path).read_text())
-    cols = list(zip(*rows))
-    obj = np.array([float(v) if v else np.nan for v in cols[3]])
-    return SolverTrace(
-        iterations=np.array([int(v) for v in cols[0]]),
-        feasibility=np.array([float(v) for v in cols[1]]),
-        grad_dual_norm=np.array([float(v) for v in cols[2]]),
-        dual_objective=obj,
-        step_norm=np.array([float(v) for v in cols[4]]),
-        wall_ms=np.array([float(v) for v in cols[5]]),
-        best_iteration=meta["best_iteration"],
-        best_dual=None,
-        best_grad_dual_norm=meta["best_grad_dual_norm"],
-        trajectory_diameter_hat=meta["trajectory_diameter_hat"],
-        final_dual=None,
-        stopped_early=meta["stopped_early"],
-        config=SolverConfig(**meta["config"]),
-        problem_info=meta.get("problem", {}),
-        eta=meta["eta"],
-    )
-
-
 def _cmd_certify(args) -> int:
     problem = load_problem(args.problem)
     meta_path = args.metadata or Path(args.trace).with_suffix(".json")
-    trace = _read_trace(args.trace, meta_path)
+    trace = SolverTrace.read(args.trace, meta_path)
     report = certify_gradient_decay(trace, problem, gamma=args.gamma)
     print(report)
     return 0 if report.passed else 1
@@ -293,7 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--k", type=int, required=True, help="image side length")
     _add_gen_flags(g)
     g = gen_kinds.add_parser("ot-mnist", help="pooled image pair from IDX file")
-    g.add_argument("--images", required=True, help="IDX image file")
+    g.add_argument("--images", dest="path", required=True,
+                   help="IDX image file")
     g.add_argument("--k", type=int, required=True, help="pooled side length")
     _add_gen_flags(g)
     for kind in ("ps-strong", "ps-weak"):

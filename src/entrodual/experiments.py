@@ -9,7 +9,6 @@ curves are taken over the common iteration prefix of the successful runs.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -18,13 +17,13 @@ import numpy as np
 
 from entrodual.datasets import (PermSynchModel, gen_er_maxcut, gen_permsynch,
                                 gen_synthetic_ot, load_mnist_pair)
-from entrodual.solver import CSV_HEADER, SolverConfig, solve
+from entrodual.solver import SolverConfig, SolverTrace, solve
 
 __all__ = ["ExperimentSpec", "run_experiment", "build_problem"]
 
 
 def build_problem(kind: str, params: dict, seed: int):
-    """Instantiate a generator by kind with the replicate's derived seed."""
+    """Instantiate a generator by kind; `entrodual gen` builds through it too."""
     p = dict(params)
     beta = p.pop("beta", 10.0)
     if kind == "maxcut":
@@ -62,23 +61,10 @@ class ExperimentSpec:
 
 def _write_averaged_csv(path, traces):
     rows = min(len(t) for t in traces)
-    feas = np.mean([t.feasibility[:rows] for t in traces], axis=0)
-    gnorm = np.mean([t.grad_dual_norm[:rows] for t in traces], axis=0)
-    obj = np.mean([t.dual_objective[:rows] for t in traces], axis=0)
-    stepn = np.mean([t.step_norm[:rows] for t in traces], axis=0)
-    wall = np.mean([t.wall_ms[:rows] for t in traces], axis=0)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for i in range(rows):
-            writer.writerow([
-                i,
-                f"{feas[i]:.12e}",
-                f"{gnorm[i]:.12e}",
-                "" if np.isnan(obj[i]) else f"{obj[i]:.12e}",
-                f"{stepn[i]:.12e}",
-                f"{wall[i]:.3f}",
-            ])
+    means = [np.mean([getattr(t, name)[:rows] for t in traces], axis=0)
+             for name in ("feasibility", "grad_dual_norm", "dual_objective",
+                          "step_norm", "wall_ms")]
+    SolverTrace.write_columns(path, range(rows), *means)
     return rows
 
 

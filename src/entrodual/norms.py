@@ -23,7 +23,6 @@ __all__ = [
     "step_pair",
     "step_block",
     "matrix_sign",
-    "dual_step",
 ]
 
 
@@ -152,13 +151,3 @@ def step_block(lams: np.ndarray, grads: np.ndarray, eta: float) -> np.ndarray:
         return lams.copy()
     return lams - eta * total * matrix_sign(grads)
 
-
-def dual_step(family: NormFamily, point, grad, eta: float):
-    """Dispatch to the family's argmin step."""
-    if family.kind == "linf":
-        return step_linf(point, grad, eta)
-    if family.kind == "pair":
-        return step_pair(point, grad, eta)
-    if family.kind == "block_spectral":
-        return step_block(point, grad, eta)
-    raise ValueError(f"unknown norm family: {family.kind!r}")

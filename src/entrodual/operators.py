@@ -233,9 +233,6 @@ class SpectralInterval:
         assert r >= 0.0
         return SpectralInterval(self.lo - r, self.hi + r, self.margin, self.certified)
 
-    def contains(self, x: float) -> bool:
-        return self.lo <= x <= self.hi
-
 
 def _power_iteration(matvec, n: int, rng, tol: float, max_iter: int):
     """Dominant (largest magnitude) eigenvalue via power iteration with Rayleigh quotients.

@@ -1,9 +1,12 @@
-"""Rademacher trace probes of Gibbs states and the normalized functionals built from them.
+"""Rademacher trace probes of Gibbs states.
 
 A probe batch holds W whose columns are w_s = exp(-(beta/2) M) z_s for Rademacher
-z_s. Every functional of interest is a ratio of quadratic forms in the columns,
-so the spectral shift applied inside the exponential (a common positive factor
-across columns) cancels; it is recorded on the batch for diagnostics.
+z_s, and the mass sum_s ||w_s||^2. The state estimate is X_hat = W W^T / mass;
+each SDP problem reads the functionals its gradient needs (the diagonal, the
+diagonal blocks, the block sums) straight from W in its stochastic_gradient.
+Each is a ratio of quadratic forms in the columns, so the spectral shift
+applied inside the exponential (a common positive factor across columns)
+cancels; it is recorded on the batch for diagnostics.
 """
 
 from __future__ import annotations
@@ -16,8 +19,7 @@ from numpy.random import Philox
 
 from entrodual.operators import SpectralInterval, SymOperator, expm_action
 
-__all__ = ["ProbeBatch", "FunctionalRequest", "draw_probes", "probe_gibbs",
-           "estimate_functional"]
+__all__ = ["ProbeBatch", "draw_probes", "probe_gibbs"]
 
 _MASK64 = (1 << 64) - 1
 
@@ -92,27 +94,6 @@ class ProbeBatch:
         return np.exp(self.log_scale) * self.images
 
 
-@dataclass(frozen=True)
-class FunctionalRequest:
-    """Which normalized functional of the estimated state to extract."""
-
-    kind: str  # "diag" | "block_gram" | "ones_quadratic"
-    block: int = 0  # 0-based block index, block kinds only
-    block_size: int = 0
-
-    @classmethod
-    def diag(cls) -> "FunctionalRequest":
-        return cls("diag")
-
-    @classmethod
-    def block_gram(cls, block: int, block_size: int) -> "FunctionalRequest":
-        return cls("block_gram", block, block_size)
-
-    @classmethod
-    def ones_quadratic(cls, block: int, block_size: int) -> "FunctionalRequest":
-        return cls("ones_quadratic", block, block_size)
-
-
 def probe_gibbs(op: SymOperator, beta: float, interval: SpectralInterval,
                 probes: np.ndarray, tol: float = 1e-8,
                 seed_path: Optional[Tuple[int, int]] = None) -> ProbeBatch:
@@ -134,32 +115,3 @@ def probe_gibbs(op: SymOperator, beta: float, interval: SpectralInterval,
     return ProbeBatch(images=w, trace_hat=trace_hat,
                       log_scale=-half * interval.lo, seed_path=seed_path)
 
-
-def _block_rows(batch: ProbeBatch, req: FunctionalRequest) -> np.ndarray:
-    k = req.block_size
-    if k < 1 or batch.n % k != 0:
-        raise ValueError(f"block size {k} does not tile dimension {batch.n}")
-    nblocks = batch.n // k
-    if not 0 <= req.block < nblocks:
-        raise ValueError(f"block index {req.block} out of range [0, {nblocks})")
-    return batch.images[req.block * k:(req.block + 1) * k]
-
-
-def estimate_functional(batch: ProbeBatch, req: FunctionalRequest):
-    """Normalized functional of the probe estimate X_hat = W W^T / sum_s ||w_s||^2.
-
-    diag returns the length-n diagonal (sums to 1 by construction), block_gram
-    returns the K x K diagonal block req.block, and ones_quadratic returns the
-    scalar 1^T block 1 / K.
-    """
-    denom = batch.mass
-    if req.kind == "diag":
-        return np.sum(batch.images * batch.images, axis=1) / denom
-    if req.kind == "block_gram":
-        rows = _block_rows(batch, req)
-        return (rows @ rows.T) / denom
-    if req.kind == "ones_quadratic":
-        rows = _block_rows(batch, req)
-        colsum = rows.sum(axis=0)
-        return float(colsum @ colsum) / (denom * req.block_size)
-    raise ValueError(f"unknown functional kind: {req.kind!r}")

@@ -1,10 +1,12 @@
 """The four entropically regularized problems behind one dual-solver contract.
 
 Each problem owns its cost data and exposes: the dual norm family, the zero
-initial dual point, exact (dense-oracle) and probe-based stochastic gradients,
-the dual objective in minimization form, the norm-induced update, and the
-primal feasibility metric derived from the gradient. Gradients of the dual
-objective coincide with primal constraint residuals of the current Gibbs
+initial dual point, one exact evaluator dense_eval(duals, limit) returning
+(gradient, objective) from a single dense Gibbs state or transport plan, a
+probe-based stochastic gradient for the SDPs, the norm-induced update, and
+the primal feasibility metric derived from the gradient. The objective is a
+by-product of the log partition the gradient already needs. Gradients of the
+dual objective coincide with primal constraint residuals of the current Gibbs
 state, which is why feasibility is always a cheap function of the gradient.
 
 Sign convention: the dual concave objective g(lambda) is stored negated, as
@@ -19,23 +21,16 @@ from math import ceil, log
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.special import logsumexp
 
 from entrodual.norms import NormFamily, step_block, step_linf, step_pair
 from entrodual.operators import SymOperator, dense_gibbs
-from entrodual.probes import ProbeBatch, estimate_functional, FunctionalRequest
+from entrodual.probes import ProbeBatch
 
 __all__ = [
     "MaxCutProblem",
     "OTProblem",
     "StrongPermSyncProblem",
     "WeakPermSyncProblem",
-    "ot_exact_gradient",
-    "ot_dual_objective",
-    "sdp_exact_gradient",
-    "sdp_stochastic_gradient",
-    "update",
-    "feasibility_error",
 ]
 
 DENSE_LIMIT = 2048
@@ -47,7 +42,8 @@ def _diag_blocks(x: np.ndarray, nblocks: int, k: int) -> np.ndarray:
 
 
 def _batch_diag(batch: ProbeBatch) -> np.ndarray:
-    return estimate_functional(batch, FunctionalRequest.diag())
+    """Diagonal of X_hat = W W^T / sum_s ||w_s||^2; sums to 1 by construction."""
+    return np.sum(batch.images * batch.images, axis=1) / batch.mass
 
 
 def _batch_blocks(batch: ProbeBatch, k: int) -> np.ndarray:
@@ -97,20 +93,11 @@ class MaxCutProblem:
     def linear_term(self, lam: np.ndarray) -> float:
         return float(self.b @ lam)
 
-    def exact_gradient(self, lam, limit: int = DENSE_LIMIT) -> np.ndarray:
-        state = dense_gibbs(self.shifted_operator(lam), self.beta, limit)
-        return np.diag(state.density) - self.b
-
-    def dual_objective(self, lam, limit: int = DENSE_LIMIT) -> float:
-        state = dense_gibbs(self.shifted_operator(lam), self.beta, limit)
-        return -self.linear_term(lam) + state.log_partition / self.beta
-
     def dense_eval(self, lam, limit: int = DENSE_LIMIT):
         """(gradient, objective) from a single eigendecomposition."""
         state = dense_gibbs(self.shifted_operator(lam), self.beta, limit)
-        grad = np.diag(state.density) - self.b
-        obj = -self.linear_term(lam) + state.log_partition / self.beta
-        return grad, obj
+        return (np.diag(state.density) - self.b,
+                -self.linear_term(lam) + state.log_partition / self.beta)
 
     def stochastic_gradient(self, batch: ProbeBatch) -> np.ndarray:
         if batch.n != self.dimension:
@@ -181,28 +168,29 @@ class OTProblem:
     def initial_dual(self):
         return (np.zeros(self.mu.size), np.zeros(self.nu.size))
 
-    def _log_plan(self, duals) -> np.ndarray:
+    def _plan_and_log_partition(self, duals) -> Tuple[np.ndarray, float]:
+        """Normalized plan and log sum exp(-beta (C - phi - psi)), one pass."""
         phi, psi = duals
-        return -self.beta * (self.cost - np.asarray(phi)[:, None]
-                             - np.asarray(psi)[None, :])
+        e = np.subtract(self.cost, np.asarray(phi)[:, None])
+        e -= np.asarray(psi)[None, :]
+        e *= -self.beta
+        m = e.max()
+        e -= m
+        np.exp(e, out=e)
+        s = e.sum()
+        e /= s
+        return e, float(m + np.log(s))
 
     def plan(self, duals) -> np.ndarray:
         """Normalized Gibbs transport plan at the given potentials."""
-        e = self._log_plan(duals)
-        p = np.exp(e - e.max())
-        return p / p.sum()
-
-    def exact_gradient(self, duals, limit: Optional[int] = None):
-        pi = self.plan(duals)
-        return (pi.sum(axis=1) - self.mu, pi.sum(axis=0) - self.nu)
-
-    def dual_objective(self, duals, limit: Optional[int] = None) -> float:
-        phi, psi = duals
-        lse = float(logsumexp(self._log_plan(duals)))
-        return -float(self.mu @ phi + self.nu @ psi) + lse / self.beta
+        return self._plan_and_log_partition(duals)[0]
 
     def dense_eval(self, duals, limit: Optional[int] = None):
-        return self.exact_gradient(duals), self.dual_objective(duals)
+        """(gradient, objective) from one stabilized pass over the log-plan."""
+        phi, psi = duals
+        pi, log_z = self._plan_and_log_partition(duals)
+        grad = (pi.sum(axis=1) - self.mu, pi.sum(axis=0) - self.nu)
+        return grad, -float(self.mu @ phi + self.nu @ psi) + log_z / self.beta
 
     def update(self, duals, grad, eta: float):
         phi, psi = step_pair(duals, grad, eta)
@@ -219,12 +207,8 @@ class OTProblem:
 
 
 @dataclass(frozen=True)
-class StrongPermSyncProblem:
-    """Permutation synchronization SDP with full diagonal blocks pinned to I/n.
-
-    The cost operator has (N, K) block structure; duals are one symmetric
-    K x K block per image, and gradients are the diagonal-block residuals.
-    """
+class _SyncProblem:
+    """Shared data of the synchronization SDPs: N images of K keypoints each."""
 
     cost: SymOperator
     num_images: int
@@ -242,6 +226,22 @@ class StrongPermSyncProblem:
     @property
     def dimension(self) -> int:
         return self.cost.n
+
+    def descriptor(self) -> dict:
+        return {"kind": self.kind, "num_images": self.num_images,
+                "block_size": self.block_size, "n": self.dimension,
+                "beta": self.beta}
+
+
+@dataclass(frozen=True)
+class StrongPermSyncProblem(_SyncProblem):
+    """Permutation synchronization SDP with full diagonal blocks pinned to I/n.
+
+    The cost operator has (N, K) block structure; duals are one symmetric
+    K x K block per image, and gradients are the diagonal-block residuals.
+    """
+
+    kind = "ps-strong"
 
     def norm_family(self) -> NormFamily:
         return NormFamily.block_spectral(self.num_images, self.block_size)
@@ -258,21 +258,11 @@ class StrongPermSyncProblem:
     def _target(self) -> np.ndarray:
         return np.eye(self.block_size) / self.dimension
 
-    def exact_gradient(self, lam, limit: int = DENSE_LIMIT) -> np.ndarray:
-        state = dense_gibbs(self.shifted_operator(lam), self.beta, limit)
-        blocks = _diag_blocks(state.density, self.num_images, self.block_size)
-        return blocks - self._target()
-
-    def dual_objective(self, lam, limit: int = DENSE_LIMIT) -> float:
-        state = dense_gibbs(self.shifted_operator(lam), self.beta, limit)
-        return -self.linear_term(lam) + state.log_partition / self.beta
-
     def dense_eval(self, lam, limit: int = DENSE_LIMIT):
         state = dense_gibbs(self.shifted_operator(lam), self.beta, limit)
         blocks = _diag_blocks(state.density, self.num_images, self.block_size)
-        grad = blocks - self._target()
-        obj = -self.linear_term(lam) + state.log_partition / self.beta
-        return grad, obj
+        return (blocks - self._target(),
+                -self.linear_term(lam) + state.log_partition / self.beta)
 
     def stochastic_gradient(self, batch: ProbeBatch) -> np.ndarray:
         if batch.n != self.dimension:
@@ -288,36 +278,16 @@ class StrongPermSyncProblem:
     def default_sample_count(self, coef: float = 8.0) -> int:
         return max(1, ceil(coef * self.block_size * log(max(2, self.num_images))))
 
-    def descriptor(self) -> dict:
-        return {"kind": "ps-strong", "num_images": self.num_images,
-                "block_size": self.block_size, "n": self.dimension,
-                "beta": self.beta}
-
 
 @dataclass(frozen=True)
-class WeakPermSyncProblem:
+class WeakPermSyncProblem(_SyncProblem):
     """Permutation synchronization SDP with diagonal and block-mass constraints.
 
     Duals are a pair (per-row vector, per-image vector); the second component
     prices the all-ones quadratic form on each diagonal block.
     """
 
-    cost: SymOperator
-    num_images: int
-    block_size: int
-    beta: float
-
-    def __post_init__(self):
-        if self.num_images < 1 or self.block_size < 1:
-            raise ValueError("block structure must be positive")
-        if self.cost.n != self.num_images * self.block_size:
-            raise ValueError("operator size must equal num_images * block_size")
-        if self.beta <= 0.0:
-            raise ValueError("beta must be positive")
-
-    @property
-    def dimension(self) -> int:
-        return self.cost.n
+    kind = "ps-weak"
 
     def norm_family(self) -> NormFamily:
         return NormFamily.pair()
@@ -339,13 +309,6 @@ class WeakPermSyncProblem:
     def _residuals(self, diag: np.ndarray, block_means: np.ndarray):
         inv_n = 1.0 / self.dimension
         return (diag - inv_n, block_means - inv_n)
-
-    def exact_gradient(self, duals, limit: int = DENSE_LIMIT):
-        return self.dense_eval(duals, limit)[0]
-
-    def dual_objective(self, duals, limit: int = DENSE_LIMIT) -> float:
-        state = dense_gibbs(self.shifted_operator(duals), self.beta, limit)
-        return -self.linear_term(duals) + state.log_partition / self.beta
 
     def dense_eval(self, duals, limit: int = DENSE_LIMIT):
         state = dense_gibbs(self.shifted_operator(duals), self.beta, limit)
@@ -375,33 +338,3 @@ class WeakPermSyncProblem:
     def default_sample_count(self, coef: float = 25.0) -> int:
         return max(1, ceil(coef * log(max(2, self.dimension))))
 
-    def descriptor(self) -> dict:
-        return {"kind": "ps-weak", "num_images": self.num_images,
-                "block_size": self.block_size, "n": self.dimension,
-                "beta": self.beta}
-
-
-# ---- module-level contract functions ------------------------------------
-
-def ot_exact_gradient(problem: OTProblem, duals):
-    return problem.exact_gradient(duals)
-
-
-def ot_dual_objective(problem: OTProblem, duals) -> float:
-    return problem.dual_objective(duals)
-
-
-def sdp_exact_gradient(problem, lam, limit: int = DENSE_LIMIT):
-    return problem.exact_gradient(lam, limit)
-
-
-def sdp_stochastic_gradient(problem, batch: ProbeBatch):
-    return problem.stochastic_gradient(batch)
-
-
-def update(problem, lam, grad, eta: float):
-    return problem.update(lam, grad, eta)
-
-
-def feasibility_error(problem, grad) -> float:
-    return problem.feasibility_error(grad)

@@ -11,6 +11,7 @@ dual norm, which bounds the spectral perturbation of every admissible shift.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 import subprocess
@@ -122,19 +123,54 @@ class SolverTrace:
         return len(self.iterations)
 
     def write_csv(self, path) -> None:
+        self.write_columns(path, self.iterations, self.feasibility,
+                           self.grad_dual_norm, self.dual_objective,
+                           self.step_norm, self.wall_ms)
+
+    @staticmethod
+    def write_columns(path, iterations, feasibility, grad_dual_norm,
+                      dual_objective, step_norm, wall_ms) -> None:
+        """Write trace columns as trace.csv rows; a NaN objective is left blank."""
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(CSV_HEADER)
-            for i in range(len(self)):
-                obj = self.dual_objective[i]
-                writer.writerow([
-                    int(self.iterations[i]),
-                    f"{self.feasibility[i]:.12e}",
-                    f"{self.grad_dual_norm[i]:.12e}",
-                    "" if np.isnan(obj) else f"{obj:.12e}",
-                    f"{self.step_norm[i]:.12e}",
-                    f"{self.wall_ms[i]:.3f}",
-                ])
+            for it, feas, gnorm, obj, stepn, wall in zip(
+                    iterations, feasibility, grad_dual_norm, dual_objective,
+                    step_norm, wall_ms):
+                writer.writerow([int(it), f"{feas:.12e}", f"{gnorm:.12e}",
+                                 "" if np.isnan(obj) else f"{obj:.12e}",
+                                 f"{stepn:.12e}", f"{wall:.3f}"])
+
+    @classmethod
+    def read(cls, csv_path, meta_path) -> "SolverTrace":
+        """Reload a trace from write_csv and write_metadata output.
+
+        Duals are not stored, so best_dual and final_dual are None. A missing
+        or malformed field raises ValueError naming the file it came from.
+        """
+        with open(csv_path, newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        if not rows or any(len(row) != len(CSV_HEADER) for row in rows):
+            raise ValueError(f"{csv_path}: expected data rows of "
+                             f"{len(CSV_HEADER)} columns ({', '.join(CSV_HEADER)})")
+        try:
+            cols = np.array([[float(v) if v else np.nan for v in row]
+                             for row in rows]).T
+        except ValueError as err:
+            raise ValueError(f"{csv_path}: {err}") from None
+        try:
+            meta = json.loads(Path(meta_path).read_text())
+            fields = {k: meta[k] for k in ("best_iteration", "best_grad_dual_norm",
+                                           "trajectory_diameter_hat",
+                                           "stopped_early", "eta")}
+            config = SolverConfig(**meta["config"])
+        except KeyError as err:
+            raise ValueError(f"{meta_path}: missing field {err}") from None
+        except (TypeError, ValueError) as err:
+            raise ValueError(f"{meta_path}: {err}") from None
+        return cls(cols[0].astype(int), *cols[1:], best_dual=None,
+                   final_dual=None, config=config,
+                   problem_info=meta.get("problem", {}), **fields)
 
     def metadata(self) -> dict:
         return {
@@ -157,7 +193,9 @@ class SolverTrace:
             fh.write("\n")
 
 
+@functools.cache
 def _git_describe() -> str:
+    """Build label of the source tree, asked of git once per process."""
     try:
         out = subprocess.run(["git", "describe", "--always", "--dirty"],
                              cwd=Path(__file__).resolve().parent,
@@ -200,11 +238,9 @@ def solve(problem, config: SolverConfig,
         tic = time.perf_counter()
         try:
             if exact:
+                grad, fval = problem.dense_eval(lam, config.dense_limit)
                 if config.record_objective:
-                    grad, fval = problem.dense_eval(lam, config.dense_limit)
                     obj[t] = fval
-                else:
-                    grad = problem.exact_gradient(lam, config.dense_limit)
             else:
                 shifted = problem.shifted_operator(lam)
                 interval = base_interval.padded(primal_norm(family, lam))

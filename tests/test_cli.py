@@ -270,3 +270,35 @@ class TestCertifyCommand:
                     "--trace", tmp_path / "t.csv"])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", ["no-best-iteration", "unknown-config-field",
+                                      "short-csv-rows", "no-kind"])
+    def test_malformed_input_exits_two_naming_the_file(self, tmp_path, capsys,
+                                                        case):
+        # each input once ended in a raw traceback with exit 1, which certify
+        # also uses for "bound violated"
+        d, out = self.make_run(tmp_path)
+        trace_csv, trace_json = out / "trace.csv", out / "trace.json"
+        meta = json.loads(trace_json.read_text())
+        if case == "no-best-iteration":
+            del meta["best_iteration"]
+            trace_json.write_text(json.dumps(meta))
+            want = ("trace.json", "best_iteration")
+        elif case == "unknown-config-field":
+            meta["config"]["bogus"] = 1
+            trace_json.write_text(json.dumps(meta))
+            want = ("trace.json", "bogus")
+        elif case == "short-csv-rows":
+            lines = trace_csv.read_text().splitlines()
+            trace_csv.write_text("\n".join(line.rsplit(",", 2)[0]
+                                           for line in lines))
+            want = ("trace.csv", "columns")
+        else:
+            problem_meta = json.loads((d / "meta.json").read_text())
+            del problem_meta["kind"]
+            (d / "meta.json").write_text(json.dumps(problem_meta))
+            want = ("meta.json", "kind")
+        code = run(["certify", "--problem", d, "--trace", trace_csv])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and all(w in err for w in want)

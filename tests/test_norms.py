@@ -7,13 +7,14 @@ from hypothesis.extra.numpy import arrays
 from entrodual.norms import (
     NormFamily,
     dual_norm,
-    dual_step,
     matrix_sign,
     primal_norm,
     step_block,
     step_linf,
     step_pair,
 )
+from entrodual.operators import SymOperator
+from entrodual.problems import MaxCutProblem
 
 LINF = NormFamily.linf()
 PAIR = NormFamily.pair()
@@ -223,5 +224,8 @@ class TestMatrixSign:
     def test_dispatch(self):
         rng = np.random.default_rng(6)
         g = rng.standard_normal(4)
-        np.testing.assert_allclose(dual_step(LINF, np.zeros(4), g, 0.2),
+        # the sup-norm family's step is the one its problem takes
+        p = MaxCutProblem(SymOperator.zeros(4), np.full(4, 0.25), 1.0)
+        assert p.norm_family() == LINF
+        np.testing.assert_allclose(p.update(np.zeros(4), g, 0.2),
                                    step_linf(np.zeros(4), g, 0.2))

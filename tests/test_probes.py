@@ -3,17 +3,31 @@ import pytest
 from numpy.random import Generator, Philox
 
 from entrodual import SymOperator, dense_gibbs, spectral_bounds
-from entrodual.probes import (
-    FunctionalRequest,
-    ProbeBatch,
-    draw_probes,
-    estimate_functional,
-    probe_gibbs,
-)
+from entrodual.probes import ProbeBatch, draw_probes, probe_gibbs
+from entrodual.problems import (MaxCutProblem, StrongPermSyncProblem,
+                                WeakPermSyncProblem)
 
 
 def make_batch(op, beta, probes, **kw):
     return probe_gibbs(op, beta, spectral_bounds(op), probes, **kw)
+
+
+# The normalized functionals of X_hat = W W^T / mass, read back through the
+# problems' stochastic gradients by adding their constraint targets.
+
+def diag_estimate(batch):
+    b = np.full(batch.n, 1.0 / batch.n)
+    return MaxCutProblem(SymOperator.zeros(batch.n), b, 1.0).stochastic_gradient(batch) + b
+
+
+def block_grams(batch, k):
+    p = StrongPermSyncProblem(SymOperator.zeros(batch.n), batch.n // k, k, 1.0)
+    return p.stochastic_gradient(batch) + np.eye(k) / batch.n
+
+
+def ones_quadratics(batch, k):
+    p = WeakPermSyncProblem(SymOperator.zeros(batch.n), batch.n // k, k, 1.0)
+    return p.stochastic_gradient(batch)[1] + 1.0 / batch.n
 
 
 class TestDrawProbes:
@@ -71,7 +85,7 @@ class TestProbeGibbs:
         batch = make_batch(op, beta=3.0, probes=np.array([1.0]))
         w_true = np.exp(batch.log_scale) * batch.images[0, 0]
         assert abs(w_true - np.exp(-3.0 * m / 2.0)) <= 1e-12
-        est = estimate_functional(batch, FunctionalRequest.diag())
+        est = diag_estimate(batch)
         np.testing.assert_allclose(est, [1.0], atol=1e-14)
 
     def test_diagonal_case(self):
@@ -91,7 +105,7 @@ class TestProbeGibbs:
         beta = 1.5
         z = draw_probes(n, num, seed=11, iteration=0)
         batch = make_batch(op, beta, z)
-        est = estimate_functional(batch, FunctionalRequest.diag())
+        est = diag_estimate(batch)
         exact = np.diag(dense_gibbs(op, beta).density)
         assert np.abs(est - exact).sum() <= 3.0 / np.sqrt(num)
 
@@ -106,11 +120,13 @@ class TestProbeGibbs:
 
 
 class TestEstimateFunctional:
+    """Diagonal, block Gram and block-sum functionals of one probe batch."""
+
     def test_single_probe_diag_sums_to_one(self):
         rng = np.random.default_rng(2)
         op = SymOperator.from_dense(np.diag(rng.standard_normal(6)))
         batch = make_batch(op, 1.0, draw_probes(6, 1, seed=0, iteration=0))
-        est = estimate_functional(batch, FunctionalRequest.diag())
+        est = diag_estimate(batch)
         w = batch.images[:, 0]
         np.testing.assert_allclose(est, w * w / (w @ w), atol=1e-15)
         assert abs(est.sum() - 1.0) <= 1e-14
@@ -120,7 +136,7 @@ class TestEstimateFunctional:
         a = rng.standard_normal((5, 5))
         op = SymOperator.from_dense((a + a.T) / 2.0)
         batch = make_batch(op, 0.7, draw_probes(5, 8, seed=1, iteration=0))
-        g = estimate_functional(batch, FunctionalRequest.block_gram(0, 5))
+        g = block_grams(batch, 5)[0]
         np.testing.assert_allclose(g, batch.images @ batch.images.T / batch.mass,
                                    atol=1e-14)
         assert abs(np.trace(g) - 1.0) <= 1e-12
@@ -135,7 +151,7 @@ class TestEstimateFunctional:
         batch = make_batch(op, beta, draw_probes(n, num, seed=7, iteration=0))
         dense = dense_gibbs(op, beta).density
         for i in range(4):
-            est = estimate_functional(batch, FunctionalRequest.block_gram(i, k))
+            est = block_grams(batch, k)[i]
             ref = dense[i * k:(i + 1) * k, i * k:(i + 1) * k]
             trace_norm = np.abs(np.linalg.eigvalsh(est - ref)).sum()
             assert trace_norm <= 0.2
@@ -146,17 +162,9 @@ class TestEstimateFunctional:
         op = SymOperator.from_dense((a + a.T) / 2.0)
         batch = make_batch(op, 1.2, draw_probes(12, 16, seed=2, iteration=3))
         for i in range(4):
-            g = estimate_functional(batch, FunctionalRequest.block_gram(i, 3))
-            q = estimate_functional(batch, FunctionalRequest.ones_quadratic(i, 3))
+            g = block_grams(batch, 3)[i]
+            q = ones_quadratics(batch, 3)[i]
             assert abs(q - np.ones(3) @ g @ np.ones(3) / 3.0) <= 1e-14
-
-    def test_block_index_out_of_range(self):
-        op = SymOperator.from_dense(np.eye(6))
-        batch = make_batch(op, 1.0, draw_probes(6, 2, seed=0, iteration=0))
-        with pytest.raises(ValueError, match="out of range"):
-            estimate_functional(batch, FunctionalRequest.block_gram(2, 3))
-        with pytest.raises(ValueError, match="tile"):
-            estimate_functional(batch, FunctionalRequest.block_gram(0, 4))
 
 
 class TestEstimatorStatistics:
@@ -197,7 +205,7 @@ class TestEstimatorStatistics:
             for r in range(reps):
                 z = draw_probes(16, num, seed=9, iteration=r)
                 batch = probe_gibbs(op, beta, iv, z)
-                est = estimate_functional(batch, FunctionalRequest.diag())
+                est = diag_estimate(batch)
                 errs.append(np.abs(est - exact).sum())
             medians.append(np.median(errs))
         for big, small in zip(medians, medians[1:]):
@@ -213,8 +221,8 @@ class TestEstimatorStatistics:
         z = draw_probes(8, 5, seed=3, iteration=1)
         plain = probe_gibbs(op, 2.0, iv, z)
         shifted = probe_gibbs(op.add_scalar(4.0), 2.0, iv.shifted(4.0), z)
-        for req in (FunctionalRequest.diag(), FunctionalRequest.block_gram(1, 4),
-                    FunctionalRequest.ones_quadratic(0, 2)):
-            lhs = estimate_functional(plain, req)
-            rhs = estimate_functional(shifted, req)
+        for functional in (diag_estimate, lambda b: block_grams(b, 4)[1],
+                           lambda b: ones_quadratics(b, 2)[0]):
+            lhs = functional(plain)
+            rhs = functional(shifted)
             np.testing.assert_allclose(lhs, rhs, atol=1e-12)

@@ -5,18 +5,12 @@ from scipy.optimize import minimize
 
 from entrodual import SymOperator, spectral_bounds
 from entrodual.norms import dual_norm, primal_norm
-from entrodual.probes import FunctionalRequest, draw_probes, estimate_functional, probe_gibbs
+from entrodual.probes import draw_probes, probe_gibbs
 from entrodual.problems import (
     MaxCutProblem,
     OTProblem,
     StrongPermSyncProblem,
     WeakPermSyncProblem,
-    feasibility_error,
-    ot_dual_objective,
-    ot_exact_gradient,
-    sdp_exact_gradient,
-    sdp_stochastic_gradient,
-    update,
 )
 
 
@@ -87,13 +81,13 @@ class TestValidation:
 class TestOTGradient:
     def test_singleton_forced_plan(self):
         p = OTProblem(np.array([[2.0]]), np.array([1.0]), np.array([1.0]), 1.5)
-        g = ot_exact_gradient(p, (np.zeros(1), np.zeros(1)))
+        g = p.dense_eval((np.zeros(1), np.zeros(1)))[0]
         np.testing.assert_allclose(g[0], [0.0], atol=1e-15)
         np.testing.assert_allclose(g[1], [0.0], atol=1e-15)
 
     def test_symmetric_instance_stationary_at_zero(self):
         p = OTProblem(np.zeros((3, 3)), np.full(3, 1 / 3), np.full(3, 1 / 3), 2.0)
-        g = ot_exact_gradient(p, p.initial_dual())
+        g = p.dense_eval(p.initial_dual())[0]
         np.testing.assert_allclose(g[0], 0.0, atol=1e-15)
         np.testing.assert_allclose(g[1], 0.0, atol=1e-15)
 
@@ -102,26 +96,26 @@ class TestOTGradient:
         p = random_ot(rng, 5, 7)
         phi = rng.standard_normal(5) * 0.3
         psi = rng.standard_normal(7) * 0.3
-        gp, gq = ot_exact_gradient(p, (phi, psi))
+        gp, gq = p.dense_eval((phi, psi))[0]
         h = 1e-5
         for i in range(5):
             e = np.zeros(5)
             e[i] = h
-            fd = (ot_dual_objective(p, (phi + e, psi))
-                  - ot_dual_objective(p, (phi - e, psi))) / (2 * h)
+            fd = (p.dense_eval((phi + e, psi))[1]
+                  - p.dense_eval((phi - e, psi))[1]) / (2 * h)
             assert abs(fd - gp[i]) <= 1e-6
         for j in range(7):
             e = np.zeros(7)
             e[j] = h
-            fd = (ot_dual_objective(p, (phi, psi + e))
-                  - ot_dual_objective(p, (phi, psi - e))) / (2 * h)
+            fd = (p.dense_eval((phi, psi + e))[1]
+                  - p.dense_eval((phi, psi - e))[1]) / (2 * h)
             assert abs(fd - gq[j]) <= 1e-6
 
     def test_extreme_beta_stable(self):
         # stabilization keeps the plan finite at huge beta and large potentials
         rng = np.random.default_rng(1)
         p = random_ot(rng, 4, 4, beta=500.0, cost_scale=10.0)
-        g = ot_exact_gradient(p, (np.full(4, 40.0), np.full(4, -40.0)))
+        g = p.dense_eval((np.full(4, 40.0), np.full(4, -40.0)))[0]
         assert np.all(np.isfinite(g[0])) and np.all(np.isfinite(g[1]))
         pi = p.plan((np.full(4, 40.0), np.full(4, -40.0)))
         assert abs(pi.sum() - 1.0) <= 1e-12
@@ -130,7 +124,7 @@ class TestOTGradient:
 class TestOTObjective:
     def test_singleton_constant(self):
         p = OTProblem(np.array([[0.8]]), np.array([1.0]), np.array([1.0]), 2.0)
-        vals = [ot_dual_objective(p, (np.array([a]), np.array([b])))
+        vals = [p.dense_eval((np.array([a]), np.array([b])))[1]
                 for a, b in [(0.0, 0.0), (3.0, -1.0), (-7.0, 2.5)]]
         # exact cancellation: the objective does not depend on the potentials
         assert max(vals) - min(vals) <= 1e-12
@@ -140,9 +134,9 @@ class TestOTObjective:
         rng = np.random.default_rng(2)
         p = random_ot(rng, 4, 6)
         phi, psi = rng.standard_normal(4), rng.standard_normal(6)
-        base = ot_dual_objective(p, (phi, psi))
+        base = p.dense_eval((phi, psi))[1]
         for a in (0.5, -3.0, 11.0):
-            shifted = ot_dual_objective(p, (phi + a, psi - a))
+            shifted = p.dense_eval((phi + a, psi - a))[1]
             assert abs(shifted - base) <= 1e-10
 
     def test_matches_direct_summation(self):
@@ -151,42 +145,42 @@ class TestOTObjective:
         phi, psi = rng.standard_normal(3), rng.standard_normal(4)
         direct = -(p.mu @ phi + p.nu @ psi) + np.log(
             np.exp(-p.beta * (p.cost - phi[:, None] - psi[None, :])).sum()) / p.beta
-        assert abs(ot_dual_objective(p, (phi, psi)) - direct) <= 1e-10
+        assert abs(p.dense_eval((phi, psi))[1] - direct) <= 1e-10
 
 
 class TestSDPExactGradient:
     def test_maxcut_zero_cost(self):
         p = MaxCutProblem(SymOperator.zeros(4), np.full(4, 0.25), 2.0)
-        np.testing.assert_allclose(sdp_exact_gradient(p, p.initial_dual()),
+        np.testing.assert_allclose(p.dense_eval(p.initial_dual())[0],
                                    0.0, atol=1e-14)
 
     def test_strong_zero_cost(self):
         p = StrongPermSyncProblem(SymOperator.zeros(6), 2, 3, 1.0)
-        g = sdp_exact_gradient(p, p.initial_dual())
+        g = p.dense_eval(p.initial_dual())[0]
         np.testing.assert_allclose(g, 0.0, atol=1e-14)
 
     def test_maxcut_matches_finite_differences(self):
         rng = np.random.default_rng(4)
         p = random_maxcut(rng, 10)
         lam = rng.standard_normal(10) * 0.2
-        g = sdp_exact_gradient(p, lam)
+        g = p.dense_eval(lam)[0]
         h = 1e-5
         for i in range(10):
             e = np.zeros(10)
             e[i] = h
-            fd = (p.dual_objective(lam + e) - p.dual_objective(lam - e)) / (2 * h)
+            fd = (p.dense_eval(lam + e)[1] - p.dense_eval(lam - e)[1]) / (2 * h)
             assert abs(fd - g[i]) <= 1e-6
 
     def test_strong_matches_directional_derivative(self):
         rng = np.random.default_rng(5)
         p = random_strong(rng, 2, 3)
         lam = sym_stack(rng, 2, 3, 0.2)
-        g = sdp_exact_gradient(p, lam)
+        g = p.dense_eval(lam)[0]
         h = 1e-5
         for _ in range(6):
             d = sym_stack(rng, 2, 3)
-            fd = (p.dual_objective(lam + h * d)
-                  - p.dual_objective(lam - h * d)) / (2 * h)
+            fd = (p.dense_eval(lam + h * d)[1]
+                  - p.dense_eval(lam - h * d)[1]) / (2 * h)
             assert abs(fd - np.einsum("bij,bij->", g, d)) <= 1e-6
 
     def test_weak_matches_finite_differences(self):
@@ -194,25 +188,25 @@ class TestSDPExactGradient:
         p = random_weak(rng, 3, 2)
         lam = rng.standard_normal(6) * 0.2
         mu = rng.standard_normal(3) * 0.2
-        gl, gm = sdp_exact_gradient(p, (lam, mu))
+        gl, gm = p.dense_eval((lam, mu))[0]
         h = 1e-5
         for i in range(6):
             e = np.zeros(6)
             e[i] = h
-            fd = (p.dual_objective((lam + e, mu))
-                  - p.dual_objective((lam - e, mu))) / (2 * h)
+            fd = (p.dense_eval((lam + e, mu))[1]
+                  - p.dense_eval((lam - e, mu))[1]) / (2 * h)
             assert abs(fd - gl[i]) <= 1e-6
         for i in range(3):
             e = np.zeros(3)
             e[i] = h
-            fd = (p.dual_objective((lam, mu + e))
-                  - p.dual_objective((lam, mu - e))) / (2 * h)
+            fd = (p.dense_eval((lam, mu + e))[1]
+                  - p.dense_eval((lam, mu - e))[1]) / (2 * h)
             assert abs(fd - gm[i]) <= 1e-6
 
     def test_dense_limit_error(self):
         p = MaxCutProblem(SymOperator.zeros(8), np.full(8, 0.125), 1.0)
         with pytest.raises(ValueError, match="probe"):
-            sdp_exact_gradient(p, p.initial_dual(), limit=4)
+            p.dense_eval(p.initial_dual(), limit=4)
 
     def test_objective_matches_expm_oracle(self):
         rng = np.random.default_rng(7)
@@ -220,7 +214,7 @@ class TestSDPExactGradient:
         lam = rng.standard_normal(6) * 0.3
         m = p.shifted_operator(lam).to_dense()
         ref = -p.b @ lam + np.log(np.trace(expm(-p.beta * m))) / p.beta
-        assert abs(p.dual_objective(lam) - ref) <= 1e-10
+        assert abs(p.dense_eval(lam)[1] - ref) <= 1e-10
 
 
 class TestSDPStochasticGradient:
@@ -231,8 +225,8 @@ class TestSDPStochasticGradient:
         op = p.shifted_operator(lam)
         batch = probe_gibbs(op, p.beta, spectral_bounds(op),
                             draw_probes(12, 4096, seed=0, iteration=0))
-        est = sdp_stochastic_gradient(p, batch)
-        exact = sdp_exact_gradient(p, lam)
+        est = p.stochastic_gradient(batch)
+        exact = p.dense_eval(lam)[0]
         assert np.abs(est - exact).sum() <= 0.05
 
     def test_identity_state_exact_for_diag(self):
@@ -242,7 +236,7 @@ class TestSDPStochasticGradient:
         op = p.shifted_operator(p.initial_dual())
         batch = probe_gibbs(op, p.beta, spectral_bounds(op),
                             draw_probes(9, 16, seed=1, iteration=0))
-        np.testing.assert_allclose(sdp_stochastic_gradient(p, batch), 0.0,
+        np.testing.assert_allclose(p.stochastic_gradient(batch), 0.0,
                                    atol=1e-14)
 
     def test_strong_blocks_shrink_with_samples(self):
@@ -255,7 +249,7 @@ class TestSDPStochasticGradient:
             for rep in range(20):
                 batch = probe_gibbs(op, p.beta, iv,
                                     draw_probes(12, num, seed=2, iteration=rep))
-                vals.append(p.feasibility_error(sdp_stochastic_gradient(p, batch)))
+                vals.append(p.feasibility_error(p.stochastic_gradient(batch)))
             errs.append(np.median(vals))
         assert errs[1] <= errs[0] / 2.0
 
@@ -264,7 +258,7 @@ class TestSDPStochasticGradient:
         op = p.shifted_operator(p.initial_dual())
         batch = probe_gibbs(op, 1.0, spectral_bounds(op),
                             draw_probes(1, 1, seed=0, iteration=0))
-        np.testing.assert_allclose(sdp_stochastic_gradient(p, batch), [0.0],
+        np.testing.assert_allclose(p.stochastic_gradient(batch), [0.0],
                                    atol=1e-15)
 
     def test_block_estimates_match_functional_api(self):
@@ -274,9 +268,10 @@ class TestSDPStochasticGradient:
         op = p.shifted_operator(lam)
         batch = probe_gibbs(op, p.beta, spectral_bounds(op),
                             draw_probes(6, 32, seed=3, iteration=1))
-        grad = sdp_stochastic_gradient(p, batch)
+        grad = p.stochastic_gradient(batch)
         for i in range(3):
-            block = estimate_functional(batch, FunctionalRequest.block_gram(i, 2))
+            rows = batch.images[2 * i:2 * (i + 1)]
+            block = rows @ rows.T / batch.mass
             np.testing.assert_allclose(grad[i], block - np.eye(2) / 6.0, atol=1e-13)
 
     def test_dimension_mismatch(self):
@@ -285,7 +280,7 @@ class TestSDPStochasticGradient:
         batch = probe_gibbs(op, 1.0, spectral_bounds(op),
                             draw_probes(4, 2, seed=0, iteration=0))
         with pytest.raises(ValueError):
-            sdp_stochastic_gradient(p, batch)
+            p.stochastic_gradient(batch)
 
 
 class TestUpdateAndFeasibility:
@@ -293,8 +288,8 @@ class TestUpdateAndFeasibility:
         rng = np.random.default_rng(11)
         p = random_ot(rng, 4, 5)
         duals = (rng.standard_normal(4), rng.standard_normal(5))
-        grad = ot_exact_gradient(p, duals)
-        phi, psi = update(p, duals, grad, eta=0.3)
+        grad = p.dense_eval(duals)[0]
+        phi, psi = p.update(duals, grad, eta=0.3)
         assert abs(phi.sum()) <= 1e-12 and abs(psi.sum()) <= 1e-12
 
     def test_zero_gradient_fixpoint(self):
@@ -302,7 +297,7 @@ class TestUpdateAndFeasibility:
         p = random_ot(rng, 3, 3)
         duals = (rng.standard_normal(3), rng.standard_normal(3))
         duals = (duals[0] - duals[0].mean(), duals[1] - duals[1].mean())
-        out = update(p, duals, (np.zeros(3), np.zeros(3)), eta=0.5)
+        out = p.update(duals, (np.zeros(3), np.zeros(3)), eta=0.5)
         np.testing.assert_allclose(out[0], duals[0], atol=1e-14)
         np.testing.assert_allclose(out[1], duals[1], atol=1e-14)
 
@@ -311,17 +306,17 @@ class TestUpdateAndFeasibility:
         rng = np.random.default_rng(13)
         p = random_maxcut(rng, 6)
         lam, g = rng.standard_normal(6), rng.standard_normal(6)
-        np.testing.assert_array_equal(update(p, lam, g, 0.2),
+        np.testing.assert_array_equal(p.update(lam, g, 0.2),
                                       step_linf(lam, g, 0.2))
 
     def test_feasible_state_zero(self):
         p = random_maxcut(np.random.default_rng(14), 4)
-        assert feasibility_error(p, np.zeros(4)) == 0.0
+        assert p.feasibility_error(np.zeros(4)) == 0.0
 
     def test_maxcut_metric_is_l1(self):
         p = random_maxcut(np.random.default_rng(15), 4)
         d = np.array([0.1, -0.2, 0.05, 0.0])
-        assert abs(feasibility_error(p, d) - 0.35) <= 1e-15
+        assert abs(p.feasibility_error(d) - 0.35) <= 1e-15
 
     def test_weak_metric_cross_check(self):
         rng = np.random.default_rng(16)
@@ -330,7 +325,7 @@ class TestUpdateAndFeasibility:
         op = p.shifted_operator(duals)
         batch = probe_gibbs(op, p.beta, spectral_bounds(op),
                             draw_probes(6, 24, seed=5, iteration=2))
-        feas = feasibility_error(p, sdp_stochastic_gradient(p, batch))
+        feas = p.feasibility_error(p.stochastic_gradient(batch))
         # independent recomputation straight from the estimated state
         w = batch.images
         xhat = w @ w.T / batch.mass
@@ -367,7 +362,7 @@ class TestSmoothness:
         rng = np.random.default_rng(18)
         for _ in range(40):
             x, y = draw(rng), draw(rng)
-            gx, gy = problem.exact_gradient(x), problem.exact_gradient(y)
+            gx, gy = problem.dense_eval(x)[0], problem.dense_eval(y)[0]
             lhs = dual_norm(fam, inner(gx, gy))
             rhs = problem.beta * primal_norm(fam, inner(x, y))
             assert lhs <= rhs + 1e-8
@@ -398,13 +393,13 @@ class TestInitialGapBound:
     def test_maxcut(self):
         rng = np.random.default_rng(23)
         p = random_maxcut(rng, 6, beta=3.0)
-        res = minimize(lambda v: p.dual_objective(v), np.zeros(6),
-                       jac=lambda v: p.exact_gradient(v), method="L-BFGS-B",
+        res = minimize(lambda v: p.dense_eval(v)[1], np.zeros(6),
+                       jac=lambda v: p.dense_eval(v)[0], method="L-BFGS-B",
                        options={"gtol": 1e-12, "maxiter": 2000})
         opt_primal = -res.fun
         ev = np.linalg.eigvalsh(p.cost.to_dense())
         width = ev[-1] - ev[0]
-        lhs = p.dual_objective(np.zeros(6)) + opt_primal
+        lhs = p.dense_eval(np.zeros(6))[1] + opt_primal
         assert lhs <= width + np.log(6) / p.beta + 1e-6
 
 

@@ -12,7 +12,9 @@ from scipy.special import logsumexp
 from entrodual.norms import NormFamily, dual_norm, primal_norm
 from entrodual.operators import SymOperator, spectral_bounds
 from entrodual.probes import draw_probes, probe_gibbs
-from entrodual.problems import MaxCutProblem, OTProblem, StrongPermSyncProblem
+from entrodual import solver as solver_module
+from entrodual.problems import (MaxCutProblem, OTProblem, StrongPermSyncProblem,
+                                WeakPermSyncProblem)
 from entrodual.solver import (CertificateReport, SolverConfig, certify_gradient_decay,
                               solve)
 
@@ -101,7 +103,7 @@ class TestSolveBasics:
         assert np.array_equal(tr.iterations, np.arange(60))
         assert tr.best_iteration == int(np.argmin(tr.grad_dual_norm))
         assert tr.best_grad_dual_norm == tr.grad_dual_norm.min()
-        g = p.exact_gradient(tr.best_dual)
+        g = p.dense_eval(tr.best_dual)[0]
         assert dual_norm(p.norm_family(), g) == pytest.approx(
             tr.best_grad_dual_norm, abs=1e-12)
 
@@ -132,6 +134,26 @@ class TestSolveBasics:
         tr = solve(p, SolverConfig(iters=5, dense_oracle=True, record_objective=True))
         assert np.all(np.isfinite(tr.dual_objective))
 
+    @pytest.mark.parametrize("make", [
+        lambda: random_maxcut(7, beta=3.0, seed=4),
+        lambda: WeakPermSyncProblem(
+            SymOperator.from_dense(random_maxcut(6, 1.0, seed=6).cost.to_dense()),
+            3, 2, beta=2.5),
+        lambda: random_ot(5, 4, beta=6.0, seed=2),
+    ], ids=["maxcut", "ps-weak", "ot"])
+    def test_recording_the_objective_changes_only_its_column(self, make):
+        p = make()
+        plain = solve(p, SolverConfig(iters=40, dense_oracle=True))
+        rec = solve(p, SolverConfig(iters=40, dense_oracle=True,
+                                    record_objective=True))
+        assert np.all(np.isnan(plain.dual_objective))
+        assert np.all(np.isfinite(rec.dual_objective))
+        # every other column except wall time is bit-identical
+        for col in ("iterations", "feasibility", "grad_dual_norm", "step_norm"):
+            assert np.array_equal(getattr(plain, col), getattr(rec, col)), col
+        assert plain.best_iteration == rec.best_iteration
+        assert plain.trajectory_diameter_hat == rec.trajectory_diameter_hat
+
     def test_backend_error_carries_iteration_index(self):
         p = random_maxcut(6, beta=2.0, seed=5)
 
@@ -143,11 +165,11 @@ class TestSolveBasics:
             def __getattr__(self, name):
                 return getattr(self.inner, name)
 
-            def exact_gradient(self, lam, limit=2048):
+            def dense_eval(self, lam, limit=2048):
                 if self.calls == 2:
                     raise FloatingPointError("synthetic")
                 self.calls += 1
-                return self.inner.exact_gradient(lam, limit)
+                return self.inner.dense_eval(lam, limit)
 
         with pytest.raises(RuntimeError, match="iteration 2") as exc:
             solve(Flaky(p), SolverConfig(iters=10, dense_oracle=True))
@@ -219,8 +241,8 @@ class TestDescentInvariants:
         # per-iteration dual gap against the a-priori potential-diameter bound
         p = random_ot(8, 8, beta=5.0, seed=13)
         phi, psi = sinkhorn_potentials(p.cost, p.mu, p.nu, p.beta)
-        assert p.feasibility_error(p.exact_gradient((phi, psi))) < 1e-12
-        f_star = p.dual_objective((phi, psi))
+        assert p.feasibility_error(p.dense_eval((phi, psi))[0]) < 1e-12
+        f_star = p.dense_eval((phi, psi))[1]
         tr = solve(p, SolverConfig(iters=2000, record_objective=True))
         eta = tr.eta
         scale = 2.0 * p.cost_bound + (math.log(1.0 / p.marginal_floor) + 1.0) / p.beta
@@ -232,17 +254,17 @@ class TestDescentInvariants:
         # late-iteration dual gap sits below the measured-bias plateau level
         p = random_maxcut(8, beta=2.0, seed=21)
         fam = p.norm_family()
-        res = minimize(lambda lam: p.dual_objective(lam), np.zeros(8),
-                       jac=lambda lam: p.exact_gradient(lam), method="L-BFGS-B",
+        res = minimize(lambda lam: p.dense_eval(lam)[1], np.zeros(8),
+                       jac=lambda lam: p.dense_eval(lam)[0], method="L-BFGS-B",
                        options={"gtol": 1e-12, "maxiter": 2000})
         lam_star, f_star = res.x, res.fun
 
         errs, sqdist, fvals = [], [], []
 
         def watch(t, lam, grad):
-            errs.append(dual_norm(fam, grad - p.exact_gradient(lam)))
+            errs.append(dual_norm(fam, grad - p.dense_eval(lam)[0]))
             sqdist.append(primal_norm(fam, lam - lam_star) ** 2)
-            fvals.append(p.dual_objective(lam))
+            fvals.append(p.dense_eval(lam)[1])
 
         half = 0.5 / p.beta
         solve(p, SolverConfig(iters=600, samples=48, seed=3, eta=half),
@@ -396,3 +418,18 @@ class TestSerialization:
         assert meta["iterations_run"] == 6
         assert isinstance(meta["build"], str) and meta["build"]
         assert meta["best_iteration"] == int(np.argmin(tr.grad_dual_norm))
+
+    def test_build_label_asks_git_once_per_process(self, monkeypatch):
+        calls = []
+        real_run = solver_module.subprocess.run
+
+        def counting_run(*args, **kwargs):
+            calls.append(args)
+            return real_run(*args, **kwargs)
+
+        monkeypatch.setattr(solver_module.subprocess, "run", counting_run)
+        solver_module._git_describe.cache_clear()
+        tr = solve(random_ot(3, 3, beta=2.0), SolverConfig(iters=2))
+        first, second = tr.metadata(), tr.metadata()
+        assert len(calls) <= 1
+        assert first["build"] == second["build"]
