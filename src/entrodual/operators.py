@@ -1,11 +1,11 @@
 """Symmetric operators, spectral intervals, exponential action, dense Gibbs states.
 
 Everything here works on real symmetric matrices only. An operator is one full
-symmetric base (CSR for sparse inputs, a dense array from from_dense) plus at
-most one diagonal vector and one block-diagonal stack. Shifting by a dual
-point only attaches add-ons and never copies the base; expm_action folds the
-operator, its add-ons and the Chebyshev affine map into one base-only operator
-per call, so each term of the recurrence costs a single product."""
+symmetric CSR base plus at most one diagonal vector and one block-diagonal
+stack. Shifting by a dual point only attaches add-ons and never copies the
+base; expm_action folds the operator, its add-ons and the Chebyshev affine map
+into one base-only operator per call, so each term of the recurrence costs a
+single product."""
 
 from __future__ import annotations
 
@@ -60,13 +60,13 @@ def _fold_pattern(base: sp.csr_array, k: int):
 class SymOperator:
     """Real symmetric operator with a cheap matvec.
 
-    The base is a full symmetric CSR matrix or a dense array. At most one
-    diagonal vector and one symmetric block-diagonal stack (N, K, K) with
-    N*K = n sit on top of it; apply() sums the three. Instances are treated as
-    immutable; add_* methods return new objects that share the base. The CSR
-    pattern of base + diagonal + blocks is built once per base and block size
-    and shared by every derived operator, so folding one into a single matrix
-    (folded) is a vectorised write into a fresh data array.
+    The base is a full symmetric CSR matrix. At most one diagonal vector and
+    one symmetric block-diagonal stack (N, K, K) with N*K = n sit on top of
+    it; they are summed only by folding. Instances are treated as immutable;
+    add_* methods return new objects that share the base. The CSR pattern of
+    base + diagonal + blocks is built once per base and block size and shared
+    by every derived operator, so folding one into a single matrix (folded) is
+    a vectorised write into a fresh data array.
     """
 
     def __init__(self, base, diag=None, blocks=None, _patterns=None):
@@ -90,7 +90,7 @@ class SymOperator:
         scale = max(1.0, np.abs(a).max()) if a.size else 1.0
         if np.abs(a - a.T).max(initial=0.0) > tol * scale:
             raise ValueError("input matrix is not symmetric")
-        return cls((a + a.T) / 2.0)
+        return cls(sp.csr_array((a + a.T) / 2.0))
 
     @classmethod
     def from_triplets(cls, n: int, rows, cols, vals) -> "SymOperator":
@@ -129,24 +129,19 @@ class SymOperator:
     # ---- algebra ------------------------------------------------------
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        """Matrix-vector (or matrix-block) product. v is (n,) or (n, S)."""
-        v = np.asarray(v, dtype=float)
-        out = self.base @ v
-        if self.diag is not None:
-            out += self.diag[:, None] * v if v.ndim == 2 else self.diag * v
-        if self.blocks is not None:
-            nb, k, _ = self.blocks.shape
-            out += (self.blocks @ v.reshape(nb, k, -1)).reshape(out.shape)
-        return out
+        """Matrix-vector (or matrix-block) product. v is (n,) or (n, S).
+
+        An operator with add-ons is folded on every call; repeated products
+        should go through one folded() operator.
+        """
+        bare = self.diag is None and self.blocks is None
+        return (self.base if bare else self.folded().base) @ np.asarray(v, dtype=float)
 
     def add_diagonal(self, d: np.ndarray) -> "SymOperator":
         d = np.asarray(d, dtype=float)
         assert d.shape == (self.n,)
         new = d if self.diag is None else self.diag + d
         return SymOperator(self.base, new, self.blocks, self._patterns)
-
-    def add_scalar(self, c: float) -> "SymOperator":
-        return self.add_diagonal(np.full(self.n, float(c)))
 
     def add_block_diag(self, blocks: np.ndarray) -> "SymOperator":
         """Add blockdiag(blocks), blocks shaped (N, K, K) with N*K = n."""
@@ -161,12 +156,6 @@ class SymOperator:
         must not be modified in place.
         """
         d = shift if self.diag is None else alpha * self.diag + shift
-        if isinstance(self.base, np.ndarray):
-            out = alpha * self.base
-            out[np.diag_indices(self.n)] += d
-            if self.blocks is not None:
-                out[_block_index(*self.blocks.shape[:2])] += alpha * self.blocks
-            return SymOperator(out)
         k = 0 if self.blocks is None else self.blocks.shape[1]
         if k not in self._patterns:
             self._patterns[k] = _fold_pattern(self.base, k)
@@ -180,8 +169,7 @@ class SymOperator:
                                         shape=(self.n, self.n)))
 
     def to_dense(self) -> np.ndarray:
-        base = self.folded().base
-        return base if isinstance(base, np.ndarray) else base.toarray()
+        return self.folded().base.toarray()
 
     def to_sparse(self):
         """Materialize as CSR, including any attached diagonal and blocks."""
@@ -217,17 +205,6 @@ class SpectralInterval:
     @property
     def width(self) -> float:
         return self.hi - self.lo
-
-    @property
-    def center(self) -> float:
-        return 0.5 * (self.lo + self.hi)
-
-    def shifted(self, c: float) -> "SpectralInterval":
-        return SpectralInterval(self.lo + c, self.hi + c, self.margin, self.certified)
-
-    def scaled(self, alpha: float) -> "SpectralInterval":
-        a, b = alpha * self.lo, alpha * self.hi
-        return SpectralInterval(min(a, b), max(a, b), self.margin, self.certified)
 
     def padded(self, r: float) -> "SpectralInterval":
         assert r >= 0.0
@@ -315,9 +292,10 @@ def expm_action(op: SymOperator, interval: SpectralInterval, z: np.ndarray,
     if not 0.0 < tol < 1.0:
         raise ValueError("tol must lie in (0, 1)")
     z = np.ascontiguousarray(z, dtype=float)
-    mapped = interval.scaled(scale).shifted(shift)
-    c = mapped.center
-    h = 0.5 * mapped.width
+    lo, hi = sorted((scale * interval.lo + shift, scale * interval.hi + shift))
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise ValueError(f"mapped interval [{lo}, {hi}] is not finite")
+    c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
     if h <= 1e-14 * max(1.0, abs(c)):
         return np.exp(c) * z
     q = _chebyshev_degree(h, tol)
@@ -361,8 +339,8 @@ def dense_gibbs(op: SymOperator, beta: float, limit: int = 2048) -> DenseGibbs:
     cubic. The spectral shift by min(eig) keeps the exponentials in range and
     cancels in the normalized state; it is added back into log_partition.
     """
-    if beta <= 0.0:
-        raise ValueError("beta must be positive")
+    if not 0.0 < beta < np.inf:
+        raise ValueError("beta must be positive and finite")
     if op.n > limit:
         raise ValueError(
             f"n={op.n} exceeds the dense limit {limit}; use the probe-based path")

@@ -1,18 +1,17 @@
 """Rademacher trace probes of Gibbs states.
 
 A probe batch holds W whose columns are w_s = exp(-(beta/2) M) z_s for Rademacher
-z_s, and the mass sum_s ||w_s||^2. The state estimate is X_hat = W W^T / mass;
-each SDP problem reads the functionals its gradient needs (the diagonal, the
-diagonal blocks, the block sums) straight from W in its stochastic_gradient.
-Each is a ratio of quadratic forms in the columns, so the spectral shift
-applied inside the exponential (a common positive factor across columns)
-cancels; it is recorded on the batch for diagnostics.
+z_s, its row energies r = diag(W W^T) and the mass sum_s ||w_s||^2 = sum_i r_i.
+The state estimate is X_hat = W W^T / mass; its diagonal is r / mass, and each
+SDP problem reads the other functionals its gradient needs (the diagonal
+blocks, the block sums) straight from W in its stochastic_gradient. Each is a
+ratio of quadratic forms in the columns, so the spectral shift applied inside
+the exponential (a common positive factor across columns) cancels.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.random import Philox
@@ -59,22 +58,23 @@ def draw_probes(n: int, num_samples: int, seed: int, iteration: int) -> np.ndarr
 
 @dataclass(frozen=True)
 class ProbeBatch:
-    """Probe images of a Gibbs factor, with the normalization already summed.
+    """Probe images of a Gibbs factor with their row energies.
 
-    images holds the spectrally shifted columns; the true (unshifted) columns
-    are exp(log_scale) * images. trace_hat = (1/S) sum_s ||w_s||^2 estimates
-    the trace of the unnormalized outer-product average in the shifted frame.
+    images holds the spectrally shifted columns w_s; r_i = sum_s w_is^2 is the
+    diagonal of W W^T and mass = sum_i r_i = sum_s ||w_s||^2 the denominator
+    of every normalized functional.
     """
 
     images: np.ndarray
-    trace_hat: float
-    log_scale: float
-    seed_path: Optional[Tuple[int, int]] = None
+    r: np.ndarray
+    mass: float = field(init=False)
 
     def __post_init__(self):
         assert self.images.ndim == 2 and self.images.shape[1] >= 1
-        if not self.trace_hat > 0.0:
-            raise ValueError("probe batch has zero mass; probes cannot all vanish")
+        object.__setattr__(self, "mass", float(self.r.sum()))
+        if not self.mass > 0.0:
+            raise ValueError(f"probe batch has zero or non-finite mass {self.mass}; "
+                             "probes cannot all vanish")
 
     @property
     def n(self) -> int:
@@ -84,34 +84,21 @@ class ProbeBatch:
     def num_samples(self) -> int:
         return self.images.shape[1]
 
-    @property
-    def mass(self) -> float:
-        """sum_s ||w_s||^2, the denominator of every normalized functional."""
-        return self.trace_hat * self.num_samples
-
-    def unshifted_images(self) -> np.ndarray:
-        """Columns in the original frame; may overflow for extreme shifts."""
-        return np.exp(self.log_scale) * self.images
-
 
 def probe_gibbs(op: SymOperator, beta: float, interval: SpectralInterval,
-                probes: np.ndarray, tol: float = 1e-8,
-                seed_path: Optional[Tuple[int, int]] = None) -> ProbeBatch:
+                probes: np.ndarray, tol: float = 1e-8) -> ProbeBatch:
     """Apply exp(-(beta/2) op) to the probe columns, with overflow-safe shifting.
 
     interval must contain the spectrum of op. The exponent is shifted so its
-    spectrum lies in [-(beta/2) width, 0]; the discarded factor
-    exp(-(beta/2) interval.lo) is recorded as log_scale.
+    spectrum lies in [-(beta/2) width, 0]; the discarded common factor
+    exp(-(beta/2) interval.lo) cancels in every normalized functional.
     """
-    if beta <= 0.0:
-        raise ValueError("beta must be positive")
+    if not 0.0 < beta < np.inf:
+        raise ValueError("beta must be positive and finite")
     z = np.asarray(probes, dtype=float)
     if z.ndim == 1:
         z = z[:, None]
     half = 0.5 * beta
     w = expm_action(op, interval, z, tol=tol, scale=-half,
                     shift=half * interval.lo)
-    trace_hat = float(np.mean(np.sum(w * w, axis=0)))
-    return ProbeBatch(images=w, trace_hat=trace_hat,
-                      log_scale=-half * interval.lo, seed_path=seed_path)
-
+    return ProbeBatch(images=w, r=np.einsum("ns,ns->n", w, w))

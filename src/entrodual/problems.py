@@ -41,11 +41,6 @@ def _diag_blocks(x: np.ndarray, nblocks: int, k: int) -> np.ndarray:
     return np.einsum("ikil->ikl", x.reshape(nblocks, k, nblocks, k))
 
 
-def _batch_diag(batch: ProbeBatch) -> np.ndarray:
-    """Diagonal of X_hat = W W^T / sum_s ||w_s||^2; sums to 1 by construction."""
-    return np.sum(batch.images * batch.images, axis=1) / batch.mass
-
-
 def _batch_blocks(batch: ProbeBatch, k: int) -> np.ndarray:
     """All (N, K, K) diagonal-block estimates of X_hat in one pass."""
     nblocks = batch.n // k
@@ -70,8 +65,8 @@ class MaxCutProblem:
             raise ValueError("b must be strictly positive")
         if abs(b.sum() - 1.0) > 1e-12:
             raise ValueError("b must sum to 1")
-        if self.beta <= 0.0:
-            raise ValueError("beta must be positive")
+        if not 0.0 < self.beta < np.inf:
+            raise ValueError("beta must be positive and finite")
 
     @property
     def dimension(self) -> int:
@@ -102,7 +97,7 @@ class MaxCutProblem:
     def stochastic_gradient(self, batch: ProbeBatch) -> np.ndarray:
         if batch.n != self.dimension:
             raise ValueError("probe batch dimension mismatch")
-        return _batch_diag(batch) - self.b
+        return batch.r / batch.mass - self.b
 
     def update(self, lam, grad, eta: float) -> np.ndarray:
         return step_linf(lam, grad, eta)
@@ -140,13 +135,15 @@ class OTProblem:
         object.__setattr__(self, "nu", nu)
         if c.ndim != 2 or c.shape != (mu.size, nu.size):
             raise ValueError("cost must be m x n matching the marginals")
+        if not all(np.isfinite(a).all() for a in (c, mu, nu)):
+            raise ValueError("cost and marginals must be finite")
         for m in (mu, nu):
             if np.any(m < 0.0) or abs(m.sum() - 1.0) > 1e-12:
                 raise ValueError("marginals must be nonnegative and sum to 1")
         if min(mu.min(), nu.min()) <= 0.0:
             raise ValueError("marginals must be strictly positive")
-        if self.beta <= 0.0:
-            raise ValueError("beta must be positive")
+        if not 0.0 < self.beta < np.inf:
+            raise ValueError("beta must be positive and finite")
 
     @property
     def shape(self) -> Tuple[int, int]:
@@ -220,8 +217,8 @@ class _SyncProblem:
             raise ValueError("block structure must be positive")
         if self.cost.n != self.num_images * self.block_size:
             raise ValueError("operator size must equal num_images * block_size")
-        if self.beta <= 0.0:
-            raise ValueError("beta must be positive")
+        if not 0.0 < self.beta < np.inf:
+            raise ValueError("beta must be positive and finite")
 
     @property
     def dimension(self) -> int:
@@ -326,7 +323,7 @@ class WeakPermSyncProblem(_SyncProblem):
         colsum = rows.sum(axis=1)
         block_means = np.einsum("ns,ns->n", colsum, colsum) / (batch.mass
                                                                * self.block_size)
-        return self._residuals(_batch_diag(batch), block_means)
+        return self._residuals(batch.r / batch.mass, block_means)
 
     def update(self, duals, grad, eta: float):
         return step_pair(duals, grad, eta)

@@ -60,10 +60,10 @@ class SolverConfig:
     def __post_init__(self):
         if self.iters < 1:
             raise ValueError("need at least one iteration")
-        if self.eta is not None and self.eta <= 0.0:
-            raise ValueError("eta must be positive")
-        if self.beta is not None and self.beta <= 0.0:
-            raise ValueError("beta must be positive")
+        if self.eta is not None and not 0.0 < self.eta < math.inf:
+            raise ValueError("eta must be positive and finite")
+        if self.beta is not None and not 0.0 < self.beta < math.inf:
+            raise ValueError("beta must be positive and finite")
         if self.samples is not None and self.samples < 1:
             raise ValueError("samples must be positive")
 
@@ -246,11 +246,12 @@ def solve(problem, config: SolverConfig,
                 interval = base_interval.padded(primal_norm(family, lam))
                 z = draw_probes(problem.dimension, samples, config.seed, t)
                 batch = probe_gibbs(shifted, beta, interval, z,
-                                    tol=config.probe_tol,
-                                    seed_path=(config.seed, t))
+                                    tol=config.probe_tol)
                 grad = problem.stochastic_gradient(batch)
             feas[t] = problem.feasibility_error(grad)
             gnorm[t] = dual_norm(family, grad)
+            if not (math.isfinite(feas[t]) and math.isfinite(gnorm[t])):
+                raise FloatingPointError("non-finite gradient")
             if gnorm[t] < best_g:
                 best_t, best_lam, best_g = t, _payload_copy(lam), float(gnorm[t])
             diameter = max(diameter,

@@ -258,8 +258,7 @@ def test_c7_estimator_concentration():
         errs = []
         for rep in range(50):
             z = draw_probes(100, s, rep, 0)
-            batch = probe_gibbs(op, 10.0, interval, z, 1e-8,
-                                seed_path=(rep, 0))
+            batch = probe_gibbs(op, 10.0, interval, z, 1e-8)
             errs.append(np.abs(p.stochastic_gradient(batch) - exact).sum())
         medians[s] = float(np.median(errs))
     wall = time.perf_counter() - t0

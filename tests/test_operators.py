@@ -82,7 +82,7 @@ class TestApply:
         a = random_symmetric(rng, 8)
         blocks = np.stack([random_symmetric(rng, 4) for _ in range(2)])
         d = rng.standard_normal(8)
-        op = SymOperator.from_dense(a).add_diagonal(d).add_scalar(-0.3)
+        op = SymOperator.from_dense(a).add_diagonal(d).add_diagonal(np.full(8, -0.3))
         op = op.add_block_diag(blocks).folded(1.7)
         ref = a + np.diag(d) - 0.3 * np.eye(8)
         ref[:4, :4] += blocks[0]
@@ -99,7 +99,7 @@ class TestApply:
         blocks = np.stack([random_symmetric(rng, 3) for _ in range(2)])
         for base in (SymOperator.from_dense(a),
                      SymOperator.from_sparse(sp.csr_array(a))):
-            op = base.add_diagonal(rng.standard_normal(6)).add_scalar(0.4)
+            op = base.add_diagonal(rng.standard_normal(6)).add_diagonal(np.full(6, 0.4))
             op = op.add_block_diag(blocks)
             np.testing.assert_allclose(op.to_sparse().toarray(), op.to_dense(),
                                        atol=1e-12)
@@ -146,8 +146,6 @@ class TestSpectralBounds:
 
     def test_interval_helpers(self):
         iv = SpectralInterval(-1.0, 3.0)
-        assert iv.shifted(2.0).lo == 1.0
-        assert iv.scaled(-1.0).lo == -3.0 and iv.scaled(-1.0).hi == 1.0
         assert iv.padded(0.5).hi == 3.5
         with pytest.raises(ValueError):
             SpectralInterval(1.0, 0.0)
@@ -285,7 +283,10 @@ class TestFoldedKernel:
         shifted = -0.5 * beta * (ref - iv.lo * np.eye(NB * K))
         want = expm_multiply(sp.csr_array(shifted), z)
         assert np.linalg.norm(batch.images - want) <= 1e-10 * np.linalg.norm(want)
-        assert batch.log_scale == -0.5 * beta * iv.lo
+        # the discarded factor is exp(-beta lo / 2)
+        unshifted = expm_multiply(sp.csr_array(-0.5 * beta * ref), z)
+        assert (np.linalg.norm(np.exp(-0.5 * beta * iv.lo) * batch.images - unshifted)
+                <= 1e-10 * np.linalg.norm(unshifted))
 
     def test_zero_width_interval_returns_scaled_probes(self, base_kind, family):
         rng = np.random.default_rng(24)

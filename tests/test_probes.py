@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.random import Generator, Philox
 
-from entrodual import SymOperator, dense_gibbs, spectral_bounds
+from entrodual import SpectralInterval, SymOperator, dense_gibbs, spectral_bounds
 from entrodual.probes import ProbeBatch, draw_probes, probe_gibbs
 from entrodual.problems import (MaxCutProblem, StrongPermSyncProblem,
                                 WeakPermSyncProblem)
@@ -83,7 +83,7 @@ class TestProbeGibbs:
         m = 1.7
         op = SymOperator.from_dense(np.array([[m]]))
         batch = make_batch(op, beta=3.0, probes=np.array([1.0]))
-        w_true = np.exp(batch.log_scale) * batch.images[0, 0]
+        w_true = np.exp(-1.5 * spectral_bounds(op).lo) * batch.images[0, 0]
         assert abs(w_true - np.exp(-3.0 * m / 2.0)) <= 1e-12
         est = diag_estimate(batch)
         np.testing.assert_allclose(est, [1.0], atol=1e-14)
@@ -93,7 +93,8 @@ class TestProbeGibbs:
         op = SymOperator.from_dense(np.diag(d))
         z = np.array([1.0, -2.0, 0.5])
         batch = make_batch(op, beta=2.0, probes=z, tol=1e-12)
-        np.testing.assert_allclose(batch.unshifted_images()[:, 0],
+        unshifted = np.exp(-0.5 * 2.0 * spectral_bounds(op).lo) * batch.images
+        np.testing.assert_allclose(unshifted[:, 0],
                                    np.exp(-d) * z, rtol=1e-10)
 
     def test_diag_estimate_near_dense_oracle(self):
@@ -109,9 +110,18 @@ class TestProbeGibbs:
         exact = np.diag(dense_gibbs(op, beta).density)
         assert np.abs(est - exact).sum() <= 3.0 / np.sqrt(num)
 
+    def test_row_energies_and_mass(self):
+        rng = np.random.default_rng(1)
+        a = rng.standard_normal((7, 7))
+        op = SymOperator.from_dense((a + a.T) / 2.0)
+        batch = make_batch(op, 1.3, draw_probes(7, 5, seed=0, iteration=0))
+        w = batch.images
+        np.testing.assert_allclose(batch.r, np.sum(w * w, axis=1), rtol=1e-14)
+        assert batch.mass == pytest.approx(np.sum(w * w), rel=1e-14)
+
     def test_zero_mass_rejected(self):
         with pytest.raises(ValueError, match="mass"):
-            ProbeBatch(images=np.zeros((3, 2)), trace_hat=0.0, log_scale=0.0)
+            ProbeBatch(images=np.zeros((3, 2)), r=np.zeros(3))
 
     def test_beta_positive(self):
         op = SymOperator.from_dense(np.eye(2))
@@ -181,7 +191,7 @@ class TestEstimatorStatistics:
         for r in range(reps):
             z = draw_probes(6, 1, seed=100, iteration=r)
             batch = probe_gibbs(op, beta, iv, z, tol=1e-10)
-            w = batch.unshifted_images()[:, 0]
+            w = np.exp(-0.5 * beta * iv.lo) * batch.images[:, 0]
             vals[r] = w * w
         g = dense_gibbs(op, beta)
         truth = np.diag(g.density) * np.exp(g.log_partition)
@@ -220,7 +230,8 @@ class TestEstimatorStatistics:
         iv = spectral_bounds(op)
         z = draw_probes(8, 5, seed=3, iteration=1)
         plain = probe_gibbs(op, 2.0, iv, z)
-        shifted = probe_gibbs(op.add_scalar(4.0), 2.0, iv.shifted(4.0), z)
+        shifted = probe_gibbs(op.add_diagonal(np.full(8, 4.0)), 2.0,
+                              SpectralInterval(iv.lo + 4.0, iv.hi + 4.0), z)
         for functional in (diag_estimate, lambda b: block_grams(b, 4)[1],
                            lambda b: ones_quadratics(b, 2)[0]):
             lhs = functional(plain)

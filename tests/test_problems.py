@@ -3,7 +3,8 @@ import pytest
 from scipy.linalg import expm
 from scipy.optimize import minimize
 
-from entrodual import SymOperator, spectral_bounds
+from entrodual import (SolverConfig, SymOperator, dense_gibbs, gen_er_maxcut,
+                       spectral_bounds)
 from entrodual.norms import dual_norm, primal_norm
 from entrodual.probes import draw_probes, probe_gibbs
 from entrodual.problems import (
@@ -411,3 +412,33 @@ class TestDefaultSampleCounts:
         assert ps.default_sample_count() == int(np.ceil(8 * 10 * np.log(20)))
         pw = WeakPermSyncProblem(SymOperator.zeros(200), 20, 10, 1.0)
         assert pw.default_sample_count() == int(np.ceil(25 * np.log(200)))
+
+
+def _ot_with(cost=None, mu=None, beta=1.0):
+    c = np.ones((3, 3)) if cost is None else cost
+    m = np.full(3, 1.0 / 3.0) if mu is None else mu
+    return OTProblem(c, m, np.full(3, 1.0 / 3.0), beta)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: gen_er_maxcut(20, beta=NAN),
+    lambda: MaxCutProblem(SymOperator.zeros(2), np.full(2, 0.5), INF),
+    lambda: _ot_with(beta=NAN),
+    lambda: _ot_with(mu=np.array([NAN, 0.5, 0.5])),
+    lambda: _ot_with(cost=np.array([[1.0, NAN, 0.0]] * 3)),
+    lambda: _ot_with(cost=np.array([[1.0, INF, 0.0]] * 3)),
+    lambda: StrongPermSyncProblem(SymOperator.zeros(4), 2, 2, NAN),
+    lambda: WeakPermSyncProblem(SymOperator.zeros(4), 2, 2, INF),
+    lambda: SolverConfig(eta=INF),
+    lambda: SolverConfig(eta=NAN),
+    lambda: SolverConfig(beta=NAN),
+    lambda: dense_gibbs(SymOperator.zeros(2), NAN),
+], ids=["er-maxcut-beta-nan", "maxcut-beta-inf", "ot-beta-nan", "ot-mu-nan",
+        "ot-cost-nan", "ot-cost-inf", "ps-strong-beta-nan", "ps-weak-beta-inf",
+        "config-eta-inf", "config-eta-nan", "config-beta-nan", "dense-gibbs-beta-nan"])
+def test_non_finite_input_rejected(build):
+    with pytest.raises(ValueError, match="finite"):
+        build()

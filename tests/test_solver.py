@@ -154,6 +154,25 @@ class TestSolveBasics:
         assert plain.best_iteration == rec.best_iteration
         assert plain.trajectory_diameter_hat == rec.trajectory_diameter_hat
 
+    def test_non_finite_gradient_raises_with_iteration_index(self):
+        p = random_maxcut(6, beta=2.0, seed=5)
+
+        class NaNAtOne:
+            def __init__(self, inner):
+                self.inner = inner
+                self.calls = 0
+
+            def __getattr__(self, name):
+                return getattr(self.inner, name)
+
+            def dense_eval(self, lam, limit=2048):
+                grad, obj = self.inner.dense_eval(lam, limit)
+                self.calls += 1
+                return (np.full_like(grad, np.nan) if self.calls == 2 else grad), obj
+
+        with pytest.raises(RuntimeError, match="iteration 1: non-finite gradient"):
+            solve(NaNAtOne(p), SolverConfig(iters=10, dense_oracle=True))
+
     def test_backend_error_carries_iteration_index(self):
         p = random_maxcut(6, beta=2.0, seed=5)
 
@@ -197,8 +216,7 @@ class TestStochasticPath:
         tr = solve(p, cfg)
         interval = spectral_bounds(p.cost, seed=4)
         z = draw_probes(9, 24, 4, 0)
-        batch = probe_gibbs(p.shifted_operator(np.zeros(9)), 3.0, interval, z,
-                            seed_path=(4, 0))
+        batch = probe_gibbs(p.shifted_operator(np.zeros(9)), 3.0, interval, z)
         grad = p.stochastic_gradient(batch)
         assert tr.feasibility[0] == pytest.approx(p.feasibility_error(grad), abs=1e-14)
         assert tr.grad_dual_norm[0] == pytest.approx(
