@@ -11,7 +11,7 @@ from entrodual.datasets import (
     sinkhorn_reference,
 )
 from entrodual.experiments import ExperimentSpec, build_problem, run_experiment
-from entrodual.norms import NormFamily, dual_norm, primal_norm
+from entrodual.norms import BLOCK_SPECTRAL, LINF, PAIR, dual_norm, primal_norm
 from entrodual.operators import (
     DenseGibbs,
     SpectralInterval,
@@ -50,12 +50,14 @@ from entrodual.solver import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "BLOCK_SPECTRAL",
     "CertificateReport",
     "DenseGibbs",
     "ExperimentSpec",
+    "LINF",
     "MaxCutProblem",
-    "NormFamily",
     "OTProblem",
+    "PAIR",
     "PSDFactor",
     "PermSynchModel",
     "ProbeBatch",

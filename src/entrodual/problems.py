@@ -1,7 +1,8 @@
 """The four entropically regularized problems behind one dual-solver contract.
 
-Each problem owns its cost data and exposes: the dual norm family, the zero
-initial dual point, one exact evaluator dense_eval(duals, limit) returning
+Each problem owns its cost data and exposes: its dual norm geometry (one of
+the shared norms.LINF, PAIR and BLOCK_SPECTRAL objects), the zero initial
+dual point, one exact evaluator dense_eval(duals, limit) returning
 (gradient, objective) from a single dense Gibbs state or transport plan, a
 probe-based stochastic gradient for the SDPs, the norm-induced update, and
 the primal feasibility metric derived from the gradient. The objective is a
@@ -22,7 +23,9 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from entrodual.norms import NormFamily, step_block, step_linf, step_pair
+from entrodual.norms import (BLOCK_SPECTRAL, LINF, PAIR, BlockSpectralGeometry,
+                             LinfGeometry, PairGeometry, step_block, step_linf,
+                             step_pair)
 from entrodual.operators import SymOperator, dense_gibbs
 from entrodual.probes import ProbeBatch
 
@@ -76,8 +79,8 @@ class MaxCutProblem:
     def kappa(self) -> float:
         return float(self.b.max() / self.b.min())
 
-    def norm_family(self) -> NormFamily:
-        return NormFamily.linf()
+    def norm_family(self) -> LinfGeometry:
+        return LINF
 
     def initial_dual(self) -> np.ndarray:
         return np.zeros(self.dimension)
@@ -103,7 +106,7 @@ class MaxCutProblem:
         return step_linf(lam, grad, eta)
 
     def feasibility_error(self, grad) -> float:
-        return float(np.abs(grad).sum())
+        return LINF.dual(grad)
 
     def default_sample_count(self, coef: float = 25.0) -> int:
         return max(1, ceil(coef * log(max(2, self.dimension))))
@@ -159,8 +162,8 @@ class OTProblem:
         """Smallest marginal entry."""
         return float(min(self.mu.min(), self.nu.min()))
 
-    def norm_family(self) -> NormFamily:
-        return NormFamily.pair()
+    def norm_family(self) -> PairGeometry:
+        return PAIR
 
     def initial_dual(self):
         return (np.zeros(self.mu.size), np.zeros(self.nu.size))
@@ -240,8 +243,8 @@ class StrongPermSyncProblem(_SyncProblem):
 
     kind = "ps-strong"
 
-    def norm_family(self) -> NormFamily:
-        return NormFamily.block_spectral(self.num_images, self.block_size)
+    def norm_family(self) -> BlockSpectralGeometry:
+        return BLOCK_SPECTRAL
 
     def initial_dual(self) -> np.ndarray:
         return np.zeros((self.num_images, self.block_size, self.block_size))
@@ -270,7 +273,7 @@ class StrongPermSyncProblem(_SyncProblem):
         return step_block(lam, grad, eta)
 
     def feasibility_error(self, grad) -> float:
-        return float(np.abs(np.linalg.eigvalsh(grad)).sum())
+        return BLOCK_SPECTRAL.dual(grad)
 
     def default_sample_count(self, coef: float = 8.0) -> int:
         return max(1, ceil(coef * self.block_size * log(max(2, self.num_images))))
@@ -286,8 +289,8 @@ class WeakPermSyncProblem(_SyncProblem):
 
     kind = "ps-weak"
 
-    def norm_family(self) -> NormFamily:
-        return NormFamily.pair()
+    def norm_family(self) -> PairGeometry:
+        return PAIR
 
     def initial_dual(self):
         return (np.zeros(self.dimension), np.zeros(self.num_images))

@@ -4,8 +4,9 @@ One solve() drives any of the four problems. Optimal transport always uses
 exact gradients (they cost one dense pass over the plan). The SDPs run either
 on the dense eigendecomposition oracle or on the stochastic probe path with a
 fresh batch per iteration; on the probe path the spectral interval of the
-shifted cost is obtained once for the bare cost and widened by the current
-dual norm, which bounds the spectral perturbation of every admissible shift.
+shifted cost is obtained once for the bare cost and widened by the primal
+norm of the current dual point, which bounds the spectral perturbation of
+every admissible shift.
 """
 
 from __future__ import annotations
@@ -79,18 +80,6 @@ class SolverConfig:
             warnings.warn("eta exceeds 1/beta; convergence guarantees do not apply",
                           stacklevel=3)
         return beta, eta
-
-
-def _payload_diff(a, b):
-    if isinstance(a, tuple):
-        return tuple(x - y for x, y in zip(a, b))
-    return a - b
-
-
-def _payload_copy(a):
-    if isinstance(a, tuple):
-        return tuple(np.array(x) for x in a)
-    return np.array(a)
 
 
 @dataclass
@@ -211,6 +200,8 @@ def solve(problem, config: SolverConfig,
 
     callback, if given, is invoked as callback(t, dual_point, gradient) after
     the metrics of iteration t are recorded and before the update is applied.
+    It must not change dual_point or gradient in place: the trace keeps the
+    best dual point by reference, since every update returns a fresh payload.
     Backend failures are re-raised with the iteration index attached.
     """
     beta, eta = config.resolve(problem)
@@ -253,13 +244,13 @@ def solve(problem, config: SolverConfig,
             if not (math.isfinite(feas[t]) and math.isfinite(gnorm[t])):
                 raise FloatingPointError("non-finite gradient")
             if gnorm[t] < best_g:
-                best_t, best_lam, best_g = t, _payload_copy(lam), float(gnorm[t])
+                best_t, best_lam, best_g = t, lam, float(gnorm[t])
             diameter = max(diameter,
-                           primal_norm(family, _payload_diff(lam, best_lam)))
+                           primal_norm(family, family.diff(lam, best_lam)))
             if callback is not None:
                 callback(t, lam, grad)
             new_lam = problem.update(lam, grad, eta)
-            stepn[t] = primal_norm(family, _payload_diff(new_lam, lam))
+            stepn[t] = primal_norm(family, family.diff(new_lam, lam))
             lam = new_lam
         except Exception as err:
             raise RuntimeError(f"solver failed at iteration {t}: {err}") from err

@@ -15,7 +15,7 @@ from scipy.linalg import expm
 from entrodual.datasets import gen_er_maxcut, gen_permsynch, PermSynchModel, \
     sinkhorn_reference
 from entrodual.experiments import ExperimentSpec, run_experiment
-from entrodual.norms import NormFamily, dual_norm, primal_norm, step_pair
+from entrodual.norms import PAIR, dual_norm, primal_norm, step_pair
 from entrodual.operators import SymOperator, dense_gibbs, expm_action, \
     spectral_bounds
 from entrodual.probes import draw_probes, probe_gibbs
@@ -278,13 +278,8 @@ def test_c8_step_identities():
             return float(sum(np.sum(a * b) for a, b in zip(g, d)))
         return float(np.sum(g * d))
 
-    def payload_diff(a, b):
-        if isinstance(a, tuple):
-            return tuple(x - y for x, y in zip(a, b))
-        return a - b
-
     def check(family, point, grad, eta, new):
-        d = payload_diff(new, point)
+        d = family.diff(new, point)
         gn = dual_norm(family, grad)
         e1 = abs(primal_norm(family, d) - eta * gn)
         e2 = abs(payload_dot(grad, d)
@@ -295,7 +290,6 @@ def test_c8_step_identities():
     mc = gen_er_maxcut(9, p=0.5, seed=0, beta=3.0)
     ps = gen_permsynch(PermSynchModel(3, 3, 5, 0.2, seed=0), 2.0, "strong")
     wk = gen_permsynch(PermSynchModel(4, 3, 5, 0.2, seed=0), 2.0, "weak")
-    pair = NormFamily.pair()
     worst = {"linf": 0.0, "pair-ot": 0.0, "block": 0.0, "pair-weak": 0.0}
     rng = np.random.default_rng(42)
     for _ in range(1000):
@@ -313,7 +307,7 @@ def test_c8_step_identities():
         lam = (rng.standard_normal(5), rng.standard_normal(7))
         g = (rng.standard_normal(5), rng.standard_normal(7))
         worst["pair-ot"] = max(worst["pair-ot"],
-                               check(pair, lam, g, eta,
+                               check(PAIR, lam, g, eta,
                                      step_pair(lam, g, eta)))
 
         lam = rng.standard_normal((3, 3, 3))
@@ -363,13 +357,8 @@ def test_c9_gradient_smoothness():
         for _ in range(200):
             a, b = draw_dual(p, rng), draw_dual(p, rng)
             ga, gb = p.dense_eval(a)[0], p.dense_eval(b)[0]
-            if isinstance(ga, tuple):
-                gdiff = tuple(x - y for x, y in zip(ga, gb))
-                ldiff = tuple(x - y for x, y in zip(a, b))
-            else:
-                gdiff, ldiff = ga - gb, a - b
-            w = max(w, dual_norm(fam, gdiff)
-                    - p.beta * primal_norm(fam, ldiff))
+            w = max(w, dual_norm(fam, fam.diff(ga, gb))
+                    - p.beta * primal_norm(fam, fam.diff(a, b)))
         worst[name] = w
     passed = max(worst.values()) <= 1e-8
     report("C9", "gradient-smoothness", passed,

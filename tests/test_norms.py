@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from entrodual.norms import (
-    NormFamily,
+    BLOCK_SPECTRAL,
+    LINF,
+    PAIR,
     dual_norm,
     matrix_sign,
     primal_norm,
@@ -15,9 +17,6 @@ from entrodual.norms import (
 )
 from entrodual.operators import SymOperator
 from entrodual.problems import MaxCutProblem
-
-LINF = NormFamily.linf()
-PAIR = NormFamily.pair()
 
 
 def sym_stack(rng, nblocks, k, scale=1.0):
@@ -44,24 +43,34 @@ class TestNormValues:
         assert abs(val - np.sqrt(2.0 * 25.0)) <= 1e-14
 
     def test_block_norms(self):
-        fam = NormFamily.block_spectral(2, 2)
+        fam = BLOCK_SPECTRAL
         b = np.stack([np.diag([2.0, -1.0]), np.diag([0.5, 0.0])])
         assert primal_norm(fam, b) == 2.0
         assert abs(dual_norm(fam, b) - 3.5) <= 1e-14
 
     def test_block_shape_checks(self):
-        fam = NormFamily.block_spectral(2, 2)
+        fam = BLOCK_SPECTRAL
         with pytest.raises(ValueError):
-            dual_norm(fam, np.zeros((3, 2, 2)))
+            dual_norm(fam, np.zeros((2, 2, 3)))
         with pytest.raises(ValueError):
             dual_norm(fam, np.array([[[0.0, 1.0], [0.0, 0.0]]] * 2))
+
+    def test_diff_keeps_the_payload_shape(self):
+        a, b = np.array([3.0, -1.0]), np.array([1.0, 2.0])
+        np.testing.assert_array_equal(LINF.diff(a, b), [2.0, -3.0])
+        du, dv = PAIR.diff((a, b), (b, a))
+        np.testing.assert_array_equal(du, [2.0, -3.0])
+        np.testing.assert_array_equal(dv, [-2.0, 3.0])
+        stack = sym_stack(np.random.default_rng(7), 2, 3)
+        np.testing.assert_array_equal(BLOCK_SPECTRAL.diff(stack, stack),
+                                      np.zeros((2, 3, 3)))
 
     def test_block_dual_vs_brute_force(self):
         # random search over the primal unit ball never beats the closed form,
         # and the spectral-sign achiever attains it
         rng = np.random.default_rng(0)
         nblocks, k = 2, 3
-        fam = NormFamily.block_spectral(nblocks, k)
+        fam = BLOCK_SPECTRAL
         b = sym_stack(rng, nblocks, k)
         formula = dual_norm(fam, b)
         cand = sym_stack(rng, 100_000 * nblocks, k).reshape(100_000, nblocks, k, k)
@@ -109,7 +118,7 @@ class TestDualityInequality:
     def test_block(self, seed):
         rng = np.random.default_rng(seed)
         nblocks, k = int(rng.integers(1, 4)), int(rng.integers(1, 4))
-        fam = NormFamily.block_spectral(nblocks, k)
+        fam = BLOCK_SPECTRAL
         x, g = sym_stack(rng, nblocks, k), sym_stack(rng, nblocks, k)
         pairing = np.einsum("bij,bij->", g, x)
         assert pairing <= dual_norm(fam, g) * primal_norm(fam, x) + 1e-12
@@ -144,6 +153,8 @@ class TestSteps:
             step_linf(np.zeros(3), np.zeros(4), 0.1)
         with pytest.raises(ValueError):
             step_block(np.zeros((2, 2, 2)), np.zeros((1, 2, 2)), 0.1)
+        with pytest.raises(ValueError):
+            step_pair((np.zeros(2), np.zeros(3)), (np.zeros(2), np.zeros(2)), 0.1)
 
 
 def model_value(pairing, step_norm, eta):
@@ -185,7 +196,7 @@ class TestStepIdentities:
         rng = np.random.default_rng(4)
         for _ in range(200):
             nblocks, k = int(rng.integers(1, 4)), int(rng.integers(1, 4))
-            fam = NormFamily.block_spectral(nblocks, k)
+            fam = BLOCK_SPECTRAL
             lam = sym_stack(rng, nblocks, k)
             g = sym_stack(rng, nblocks, k, scale=1.0 / k)
             eta = rng.uniform(0.05, 2.0)

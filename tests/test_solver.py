@@ -1,5 +1,6 @@
 """Outer-loop tests: trace bookkeeping, descent invariants, rate bounds, certificates."""
 
+import copy
 import csv
 import json
 import math
@@ -9,7 +10,7 @@ import pytest
 from scipy.optimize import minimize
 from scipy.special import logsumexp
 
-from entrodual.norms import NormFamily, dual_norm, primal_norm
+from entrodual.norms import dual_norm, primal_norm
 from entrodual.operators import SymOperator, spectral_bounds
 from entrodual.probes import draw_probes, probe_gibbs
 from entrodual import solver as solver_module
@@ -362,7 +363,38 @@ class TestCertificates:
         assert str(certify_gradient_decay(tr, p)).startswith("[PASS]")
 
 
+def payload_equal(a, b):
+    a, b = (a, b) if isinstance(a, tuple) else ((a,), (b,))
+    return len(a) == len(b) and all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
 class TestTraceBookkeeping:
+    @pytest.mark.parametrize("make", [
+        lambda: random_maxcut(7, beta=3.0, seed=4),
+        lambda: random_ot(5, 4, beta=6.0, seed=2),
+        lambda: WeakPermSyncProblem(
+            SymOperator.from_dense(random_maxcut(6, 1.0, seed=6).cost.to_dense()),
+            3, 2, beta=2.5),
+        lambda: StrongPermSyncProblem(
+            SymOperator.from_dense(random_maxcut(6, 1.0, seed=8).cost.to_dense()),
+            3, 2, beta=2.0),
+    ], ids=["maxcut", "ot", "ps-weak", "ps-strong"])
+    def test_duals_kept_without_copy_match_the_iterates(self, make):
+        # solve() keeps best_dual by reference, which is sound only while
+        # every update returns a fresh payload and leaves its inputs alone
+        p = make()
+        seen = []
+        tr = solve(p, SolverConfig(iters=30, dense_oracle=True),
+                   callback=lambda t, lam, grad: seen.append(
+                       copy.deepcopy((lam, grad))))
+        assert payload_equal(tr.best_dual, seen[tr.best_iteration][0])
+        assert payload_equal(tr.final_dual, p.update(*seen[-1], tr.eta))
+        for lam, grad in seen:
+            before = copy.deepcopy((lam, grad))
+            p.update(lam, grad, tr.eta)
+            assert payload_equal(lam, before[0])
+            assert payload_equal(grad, before[1])
+
     def test_trajectory_diameter_matches_replay(self):
         p = random_ot(5, 6, beta=6.0, seed=4)
         fam = p.norm_family()
