@@ -123,15 +123,15 @@ def step_pair(point, grad, eta: float):
 def matrix_sign(g: np.ndarray) -> np.ndarray:
     """Spectral sign of a symmetric matrix (or an (N, K, K) stack of them).
 
-    Eigenvalues with magnitude at most 1e-12 times the block's spectral norm
-    map to zero, so the result squared is the projector onto the non-null
-    eigenspace.
+    Eigenvalues with magnitude at most 1e-12 times the block's spectral norm,
+    floored at 1e-300, map to zero, so the result squared is the projector
+    onto the non-null eigenspace; a block of subnormal entries maps to zero.
     """
     g = np.asarray(g, dtype=float)
     single = g.ndim == 2
     stack = g[None] if single else g
     evals, vecs = np.linalg.eigh(stack)
-    scale = np.abs(evals).max(axis=1, keepdims=True)
+    scale = np.maximum(np.abs(evals).max(axis=1, keepdims=True), 1e-300)
     s = np.sign(evals) * (np.abs(evals) > 1e-12 * scale)
     out = np.einsum("bik,bk,bjk->bij", vecs, s, vecs)
     out = (out + out.transpose(0, 2, 1)) / 2.0

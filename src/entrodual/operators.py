@@ -9,12 +9,16 @@ single product."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 import scipy.io
 import scipy.sparse as sp
-from scipy.linalg.blas import daxpy
+from scipy.linalg.blas import daxpy, dgemv
+from scipy.linalg.lapack import dstemr
+from scipy.sparse import _sparsetools
 from scipy.special import ive
 
 __all__ = [
@@ -128,14 +132,32 @@ class SymOperator:
 
     # ---- algebra ------------------------------------------------------
 
-    def apply(self, v: np.ndarray) -> np.ndarray:
+    def apply(self, v: np.ndarray, into: Optional[np.ndarray] = None) -> np.ndarray:
         """Matrix-vector (or matrix-block) product. v is (n,) or (n, S).
 
+        With into, the product is added to into in place and into is returned.
+        The CSR kernel writes into's raw memory, so into must be a writeable,
+        C-contiguous float64 array of v's shape that does not overlap v.
         An operator with add-ons is folded on every call; repeated products
         should go through one folded() operator.
         """
-        bare = self.diag is None and self.blocks is None
-        return (self.base if bare else self.folded().base) @ np.asarray(v, dtype=float)
+        m = self.base if self.diag is None and self.blocks is None else self.folded().base
+        v = np.ascontiguousarray(v, dtype=float)
+        if v.ndim not in (1, 2) or v.shape[0] != self.n:
+            raise ValueError(f"expected ({self.n},) or ({self.n}, S) input, got {v.shape}")
+        if into is None:
+            into = np.zeros(v.shape)
+        elif not (isinstance(into, np.ndarray) and into.dtype == np.float64
+                  and into.shape == v.shape and into.flags.c_contiguous
+                  and into.flags.writeable and not np.may_share_memory(into, v)):
+            raise ValueError(f"into must be a writeable C-contiguous float64 {v.shape} "
+                             "array apart from the input")
+        if v.ndim == 1:
+            _sparsetools.csr_matvec(self.n, self.n, m.indptr, m.indices, m.data, v, into)
+        else:
+            _sparsetools.csr_matvecs(self.n, self.n, v.shape[1], m.indptr, m.indices,
+                                     m.data, v.reshape(-1), into.reshape(-1))
+        return into
 
     def add_diagonal(self, d: np.ndarray) -> "SymOperator":
         d = np.asarray(d, dtype=float)
@@ -188,7 +210,8 @@ class SpectralInterval:
     """Closed interval [lo, hi] intended to contain the spectrum of an operator.
 
     margin records the relative inflation applied to the raw estimates and
-    certified is False when the underlying power iteration did not converge.
+    certified is False when the Lanczos run of spectral_bounds did not
+    converge.
     """
 
     lo: float
@@ -211,52 +234,105 @@ class SpectralInterval:
         return SpectralInterval(self.lo - r, self.hi + r, self.margin, self.certified)
 
 
-def _power_iteration(matvec, n: int, rng, tol: float, max_iter: int):
-    """Dominant (largest magnitude) eigenvalue via power iteration with Rayleigh quotients.
+# Lanczos steps between convergence checks; a check costs about one product
+_RITZ_EVERY = 4
+# Largest chance, per end and for any spectrum, that a converged run leaves
+# that end of the spectrum outside the returned interval (see
+# _min_lanczos_steps)
+_MISS_PROBABILITY = 1e-3
 
-    Returns (converged, estimate). Convergence is declared when the eigenpair
-    residual drops below tol relative to max(1, |estimate|).
+
+def _min_lanczos_steps(n: int, margin: float) -> int:
+    """Lanczos steps after which, for any spectrum, an extreme Ritz value
+    lies more than eps * width inside the spectrum, eps = margin / (1 + 2
+    margin), with probability at most _MISS_PROBABILITY.
+
+    Kuczynski and Wozniakowski (1992) bound that chance, for a uniformly
+    random start, by 1.648 sqrt(n) exp(-sqrt(eps) (2k - 1)) after k steps;
+    Lanczos is shift-invariant, so the bound holds for both ends. An error of
+    eps * width at both ends still leaves the end inside the interval once
+    it is inflated by margin times its width.
     """
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    rho = 0.0
-    for _ in range(max_iter):
-        w = matvec(v)
-        nw = np.linalg.norm(w)
-        rho = float(v @ w)
-        if nw <= 1e-300:
-            return True, 0.0
-        resid = np.linalg.norm(w - rho * v)
-        v = w / nw
-        if resid <= tol * max(1.0, abs(rho)):
-            return True, rho
-    return False, rho
+    eps = margin / (1.0 + 2.0 * margin)
+    if eps <= 0.0:
+        return n
+    log_odds = math.log(1.648 * math.sqrt(n) / _MISS_PROBABILITY)
+    return math.ceil((log_odds / math.sqrt(eps) + 1.0) / 2.0)
 
 
-def spectral_bounds(op: SymOperator, *, margin: float = 0.05, tol: float = 1e-3,
-                    max_iter: int = 2000, seed: int = 0) -> SpectralInterval:
+def _extreme_ritz(alpha: np.ndarray, beta: np.ndarray):
+    """Smallest and largest eigenvalues of the Lanczos tridiagonal and the last
+    components of their unit eigenvectors.
+
+    beta holds the off-diagonal plus one trailing entry; LAPACK's stemr uses
+    that array as workspace, so each call gets a copy.
+    """
+    j = alpha.size
+    ends, last = np.empty(2), np.empty(2)
+    for i, k in enumerate((1, j)):
+        _, w, vec, info = dstemr(alpha, beta.copy(), 2, 0.0, 0.0, k, k)
+        if info:
+            raise np.linalg.LinAlgError(f"stemr failed with info={info}")
+        ends[i], last[i] = w[0], vec[-1, 0]
+    return ends, last
+
+
+def spectral_bounds(op: SymOperator, *, margin: float = 0.05, tol: float = 1e-2,
+                    max_iter: int = 64, seed: int = 0) -> SpectralInterval:
     """Estimate an interval containing the spectrum of a symmetric operator.
 
-    Two power iterations: one for the extreme eigenvalue of largest magnitude,
-    one on a shifted operator for the opposite extreme. The raw interval is
-    inflated on both sides by margin times its width, so multiplicity-n spectra
-    (width zero) stay tight. A magnitude tie in the first pass is broken by
-    rerunning on op + bound*I, which is positive semidefinite by construction.
+    One Lanczos run from a seeded Gaussian start, with full
+    reorthogonalisation and at most max_iter basis vectors, so at most
+    max_iter products and an n x max_iter basis. It stops once both extreme
+    Ritz pairs (theta, y) have residual r = ||op y - theta y|| at most
+    tol * max(1, |theta|), theta the larger in magnitude of the two; each
+    [theta - r, theta + r] then holds an eigenvalue. The interval
+    [theta_min - r_min, theta_max + r_max] is inflated on both sides by
+    margin times its width, so multiplicity-n spectra (width zero) stay
+    tight. Ritz values lie inside the spectrum, so a small residual alone
+    does not show that an extreme Ritz value has found the extreme
+    eigenvalue: a start nearly orthogonal to its eigenvector can hide it.
+    Convergence is therefore tested only after the number of steps that,
+    from a random start, bounds that chance for any spectrum (see
+    _min_lanczos_steps); when n is below both that number and max_iter, the
+    run spans the whole space and is exact. certified is False when the basis ran out first; the
+    interval is then an estimate. An operator with add-ons is folded once.
     """
     if margin < 0.0:
         raise ValueError("margin must be nonnegative")
-    rng = np.random.default_rng(seed)
-    ok1, a = _power_iteration(op.apply, op.n, rng, tol, max_iter)
-    if not ok1:
-        bound = op.inf_norm_bound()
-        ok1, d = _power_iteration(lambda x: op.apply(x) + bound * x,
-                                  op.n, rng, tol, max_iter)
-        a = d - bound
-    ok2, mu = _power_iteration(lambda x: a * x - op.apply(x), op.n, rng, tol, max_iter)
-    other = a - mu
-    lo, hi = min(a, other), max(a, other)
+    if op.diag is not None or op.blocks is not None:
+        op = op.folded()
+    m = max(1, min(max_iter, op.n))
+    basis = np.empty((m, op.n))
+    alpha, beta = np.empty(m), np.zeros(m)
+    v = np.random.default_rng(seed).standard_normal(op.n)
+    basis[0] = v / np.linalg.norm(v)
+    first_check = _min_lanczos_steps(op.n, margin)
+    scale = 0.0
+    for j in range(m):
+        w = op.apply(basis[j])
+        if j:
+            w = daxpy(basis[j - 1], w, a=-beta[j - 1])
+        alpha[j] = basis[j] @ w
+        w = daxpy(basis[j], w, a=-alpha[j])
+        done = basis[: j + 1]
+        # full reorthogonalisation, w -= V^T (V w), in place
+        w = dgemv(-1.0, done.T, done @ w, beta=1.0, y=w, overwrite_y=1)
+        beta[j] = np.linalg.norm(w)
+        scale = max(scale, abs(alpha[j]) + beta[j])
+        # a breakdown means the Krylov space is invariant: it holds no more
+        stop = beta[j] <= 1e-12 * scale or j + 1 == m
+        if stop or (j + 1 >= first_check and (j + 1) % _RITZ_EVERY == 0):
+            ends, last = _extreme_ritz(alpha[: j + 1], beta[: j + 1])
+            resid = beta[j] * np.abs(last)
+            converged = bool(np.all(resid <= tol * max(1.0, np.abs(ends).max())))
+            if stop or converged:
+                break
+        basis[j + 1] = w / beta[j]
+    lo, hi = ends[0] - resid[0], ends[1] + resid[1]
     pad = margin * (hi - lo)
-    return SpectralInterval(lo - pad, hi + pad, margin=margin, certified=ok1 and ok2)
+    return SpectralInterval(float(lo - pad), float(hi + pad), margin=margin,
+                            certified=converged)
 
 
 def _chebyshev_degree(half_width: float, tol: float) -> np.ndarray:
@@ -284,7 +360,8 @@ def expm_action(op: SymOperator, interval: SpectralInterval, z: np.ndarray,
     interval must contain the spectrum of op; the expansion lives on its image
     under x -> scale * x + shift, after an affine map to [-1, 1]. The operator,
     scale, shift and that map are folded into one base-only operator, so each
-    term of the recurrence is one apply plus in-place updates. Accuracy is
+    term of the recurrence is two in-place passes plus one product
+    accumulated into the same array. Accuracy is
     relative to the dominant spectral scale exp(top of the mapped interval);
     callers that need normalized output should choose shift so the top is
     near zero (the shift factors out).
@@ -302,19 +379,20 @@ def expm_action(op: SymOperator, interval: SpectralInterval, z: np.ndarray,
     # twice the affine map (scale * op + (shift - c) I) / h, folded once
     double = op.folded(2.0 * scale / h, 2.0 * (shift - c) / h)
     flat = z.reshape(-1)
-    b1 = np.zeros_like(z)
+    # Clenshaw, b_k = q_k z + double b_{k+1} - b_{k+2}, written over b_{k+2};
+    # the top term is b_K = q_K z since b_{K+1} = b_{K+2} = 0
+    b1 = q[-1] * z
     b2 = np.zeros_like(z)
-    for k in range(len(q) - 1, 0, -1):
-        b0 = double.apply(b1)
-        b0 -= b2
-        b0 = daxpy(flat, b0.reshape(-1), a=q[k]).reshape(z.shape)
-        b1, b2 = b0, b1
-    y = double.apply(b1)
-    y *= 0.5
-    y -= b2
-    y = daxpy(flat, y.reshape(-1), a=q[0]).reshape(z.shape)
-    if c + h != 0.0:
-        y *= np.exp(c + h)
+    for k in range(len(q) - 2, 0, -1):
+        np.negative(b2, out=b2)
+        daxpy(flat, b2.reshape(-1), a=q[k])
+        double.apply(b1, into=b2)
+        b1, b2 = b2, b1
+    # y = q_0 z + double b_1 / 2 - b_2, accumulated as twice that and halved
+    b2 *= -2.0
+    daxpy(flat, b2.reshape(-1), a=2.0 * q[0])
+    y = double.apply(b1, into=b2)
+    y *= 0.5 * np.exp(c + h)
     return y
 
 

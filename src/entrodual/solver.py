@@ -3,10 +3,11 @@
 One solve() drives any of the four problems. Optimal transport always uses
 exact gradients (they cost one dense pass over the plan). The SDPs run either
 on the dense eigendecomposition oracle or on the stochastic probe path with a
-fresh batch per iteration; on the probe path the spectral interval of the
-shifted cost is obtained once for the bare cost and widened by the primal
-norm of the current dual point, which bounds the spectral perturbation of
-every admissible shift.
+fresh batch per iteration. On the probe path every iteration encloses the
+spectrum of its shifted cost with a short Lanczos run, so the probe images
+stay O(||z||) at any beta. An uncertified interval, or a batch whose images
+grew (which a lower end at or below the smallest eigenvalue rules out), is
+redone on the Gershgorin interval.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from entrodual.norms import dual_norm, primal_norm
-from entrodual.operators import spectral_bounds
+from entrodual.operators import SpectralInterval, spectral_bounds
 from entrodual.probes import draw_probes, probe_gibbs
 from entrodual.problems import OTProblem
 
@@ -194,6 +195,31 @@ def _git_describe() -> str:
         return "unknown"
 
 
+def _probe_batch(op, beta: float, z: np.ndarray, config: SolverConfig):
+    """Probe images of exp(-(beta/2) op) on a tight interval, checked.
+
+    The exponent is shifted by the interval's lower end, so when that end is
+    at or below the smallest eigenvalue every image is no longer than its
+    probe and the mass is at most ||z||^2, which is n S for Rademacher
+    probes. An uncertified Lanczos
+    interval, or a batch above that ceiling, is redone on the Gershgorin
+    interval [-R, R] with R the largest absolute row sum; a batch that still
+    exceeds it raises.
+    """
+    ceiling = z.size * (1.0 + 1e-6)
+    interval = spectral_bounds(op, seed=config.seed)
+    if interval.certified:
+        batch = probe_gibbs(op, beta, interval, z, tol=config.probe_tol)
+        if batch.mass <= ceiling:
+            return batch
+    r = op.inf_norm_bound()
+    batch = probe_gibbs(op, beta, SpectralInterval(-r, r), z, tol=config.probe_tol)
+    if not batch.mass <= ceiling:
+        raise FloatingPointError(f"probe mass {batch.mass:.6g} exceeds n S = "
+                                 f"{z.size} on the Gershgorin interval")
+    return batch
+
+
 def solve(problem, config: SolverConfig,
           callback: Optional[Callable] = None) -> SolverTrace:
     """Run dual descent from the zero dual point and record per-iteration metrics.
@@ -210,7 +236,6 @@ def solve(problem, config: SolverConfig,
 
     exact = config.dense_oracle or isinstance(problem, OTProblem)
     if not exact:
-        base_interval = spectral_bounds(problem.cost, seed=config.seed)
         samples = config.samples or problem.default_sample_count()
 
     n_rows = config.iters
@@ -233,11 +258,9 @@ def solve(problem, config: SolverConfig,
                 if config.record_objective:
                     obj[t] = fval
             else:
-                shifted = problem.shifted_operator(lam)
-                interval = base_interval.padded(primal_norm(family, lam))
                 z = draw_probes(problem.dimension, samples, config.seed, t)
-                batch = probe_gibbs(shifted, beta, interval, z,
-                                    tol=config.probe_tol)
+                batch = _probe_batch(problem.shifted_operator(lam), beta, z,
+                                     config)
                 grad = problem.stochastic_gradient(batch)
             feas[t] = problem.feasibility_error(grad)
             gnorm[t] = dual_norm(family, grad)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -225,6 +225,7 @@ class TestMatrixSign:
 
     @settings(max_examples=60, deadline=None)
     @given(arrays(np.float64, (4, 4), elements=st.floats(-5, 5)))
+    @example(np.full((4, 4), 5e-324))
     def test_square_is_projector(self, raw):
         g = (raw + raw.T) / 2.0
         p = matrix_sign(g) @ matrix_sign(g)

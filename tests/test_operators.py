@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.sparse.linalg import expm_multiply
+from scipy.stats import ortho_group
 
 from entrodual import (
     SpectralInterval,
@@ -103,6 +104,132 @@ class TestApply:
             op = op.add_block_diag(blocks)
             np.testing.assert_allclose(op.to_sparse().toarray(), op.to_dense(),
                                        atol=1e-12)
+
+
+class TestAccumulateApply:
+    """apply(v, into=b) adds A v into b through scipy's private CSR kernel.
+
+    These cases pin that kernel to b + A @ v; they are the first to fail if a
+    scipy release changes its arguments or semantics.
+    """
+
+    @pytest.mark.parametrize("index", [np.int32, np.int64])
+    @pytest.mark.parametrize("shape", [(11,), (11, 1), (11, 6)])
+    def test_adds_the_product(self, index, shape):
+        rng = np.random.default_rng(31)
+        a = random_symmetric(rng, 11)
+        a[np.abs(a) < 0.6] = 0.0
+        base = sp.csr_array(a)
+        base.indptr = base.indptr.astype(index)
+        base.indices = base.indices.astype(index)
+        op = SymOperator(base)
+        v = rng.standard_normal(shape)
+        b = rng.standard_normal(shape)
+        want = b + a @ v
+        assert op.apply(v, into=b) is b
+        np.testing.assert_allclose(b, want, rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose(op.apply(v), a @ v, rtol=1e-13, atol=1e-13)
+
+    def test_operator_with_add_ons(self):
+        rng = np.random.default_rng(32)
+        op, ref = shifted_case("sparse", "weak", rng)
+        v = rng.standard_normal((NB * K, 3))
+        b = rng.standard_normal((NB * K, 3))
+        want = b + ref @ v
+        op.apply(v, into=b)
+        np.testing.assert_allclose(b, want, atol=1e-13)
+
+    @pytest.mark.parametrize("bad", ["fortran", "strided", "columns", "rows",
+                                     "vector", "float32", "read-only", "alias"])
+    def test_rejects_an_unsafe_target(self, bad):
+        op = SymOperator.from_dense(2.0 * np.eye(6))
+        v = np.ones((6, 4))
+        into = {"fortran": np.zeros((6, 4), order="F"),
+                "strided": np.zeros((6, 8))[:, ::2],
+                "columns": np.zeros((6, 3)),
+                "rows": np.zeros((7, 4)),
+                "vector": np.zeros(24),
+                "float32": np.zeros((6, 4), dtype=np.float32),
+                "read-only": np.zeros((6, 4)),
+                "alias": v}[bad]
+        if bad == "read-only":
+            into.flags.writeable = False
+        before = into.copy()
+        with pytest.raises(ValueError, match="into"):
+            op.apply(v, into=into)
+        np.testing.assert_array_equal(into, before)
+
+    def test_rejects_a_short_vector_target(self):
+        op = SymOperator.from_dense(np.eye(6))
+        with pytest.raises(ValueError, match="into"):
+            op.apply(np.ones(6), into=np.zeros(5))
+
+
+def assert_encloses(op, dense, seed):
+    iv = spectral_bounds(op, seed=seed)
+    ev = np.linalg.eigvalsh(dense)
+    slack = 1e-12 * max(1.0, np.abs(ev).max())
+    assert iv.certified
+    assert iv.lo <= ev[0] + slack and ev[-1] <= iv.hi + slack, (iv, ev[[0, -1]])
+    return iv
+
+
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+class TestSpectralBoundsContainment:
+    """The Lanczos interval holds the eigvalsh spectrum on hard spectra."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 60), gap=st.floats(1e-12, 1e-3), seed=SEEDS)
+    def test_near_degenerate_extremes(self, n, gap, seed):
+        rng = np.random.default_rng(seed)
+        ev = np.sort(rng.uniform(-1.0, 1.0, n))
+        ev[0], ev[-1] = -1.0, 1.0
+        ev[1], ev[-2] = -1.0 + gap, 1.0 - gap
+        q = ortho_group.rvs(n, random_state=rng)
+        a = (q * ev) @ q.T
+        assert_encloses(SymOperator.from_dense((a + a.T) / 2.0), a, seed)
+
+    @settings(max_examples=40, deadline=None)
+    @given(left=st.integers(1, 30), right=st.integers(1, 30),
+           density=st.floats(0.05, 1.0), seed=SEEDS)
+    def test_bipartite_spectrum_is_symmetric(self, left, right, density, seed):
+        rng = np.random.default_rng(seed)
+        n = left + right
+        a = np.zeros((n, n))
+        a[:left, left:] = (rng.random((left, right)) < density) * rng.uniform(
+            0.5, 2.0, (left, right))
+        a += a.T
+        assert_encloses(SymOperator.from_sparse(sp.csr_array(a)), a, seed)
+
+    @settings(max_examples=40, deadline=None)
+    @given(sizes=st.lists(st.integers(1, 25), min_size=2, max_size=6),
+           seed=SEEDS)
+    def test_disconnected_graph(self, sizes, seed):
+        # a Laplacian per component, each on its own scale; size-1 components
+        # are isolated vertices
+        rng = np.random.default_rng(seed)
+        blocks = []
+        for k in sizes:
+            adj = np.triu(rng.random((k, k)) < 0.4, 1) * rng.uniform(0.1, 10.0)
+            adj = adj + adj.T
+            blocks.append(np.diag(adj.sum(axis=1)) - adj)
+        a = sp.block_diag(blocks).toarray()
+        assert_encloses(SymOperator.from_sparse(sp.csr_array(a)), a, seed)
+
+    @settings(max_examples=20, deadline=None)
+    @given(n=st.integers(1, 300), seed=SEEDS)
+    def test_zero_operator(self, n, seed):
+        iv = spectral_bounds(SymOperator.zeros(n), seed=seed)
+        assert (iv.lo, iv.hi, iv.certified) == (0.0, 0.0, True)
+
+    @settings(max_examples=40, deadline=None)
+    @given(value=st.floats(-1e6, 1e6), seed=SEEDS)
+    def test_one_by_one(self, value, seed):
+        a = np.array([[value]])
+        iv = assert_encloses(SymOperator.from_dense(a), a, seed)
+        assert iv.width <= 1e-12 * max(1.0, abs(value))
 
 
 class TestSpectralBounds:

@@ -128,6 +128,18 @@ class TestProbeGibbs:
         with pytest.raises(ValueError):
             probe_gibbs(op, 0.0, spectral_bounds(op), np.ones(2))
 
+    @pytest.mark.parametrize("beta", [1e-6, 1e3])
+    def test_extreme_beta_stays_finite(self, beta):
+        # a lower end at or below the smallest eigenvalue keeps every image
+        # no longer than its probe, so nothing overflows at either extreme
+        rng = np.random.default_rng(12)
+        a = rng.standard_normal((30, 30))
+        op = SymOperator.from_dense((a + a.T) / 2.0)
+        z = draw_probes(30, 16, seed=3, iteration=0)
+        batch = make_batch(op, beta, z)
+        assert np.all(np.isfinite(batch.images))
+        assert 0.0 < batch.mass <= z.size * (1.0 + 1e-6)
+
 
 class TestEstimateFunctional:
     """Diagonal, block Gram and block-sum functionals of one probe batch."""

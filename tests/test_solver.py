@@ -11,7 +11,8 @@ from scipy.optimize import minimize
 from scipy.special import logsumexp
 
 from entrodual.norms import dual_norm, primal_norm
-from entrodual.operators import SymOperator, spectral_bounds
+from entrodual.datasets import gen_er_maxcut
+from entrodual.operators import SpectralInterval, SymOperator, spectral_bounds
 from entrodual.probes import draw_probes, probe_gibbs
 from entrodual import solver as solver_module
 from entrodual.problems import (MaxCutProblem, OTProblem, StrongPermSyncProblem,
@@ -215,9 +216,9 @@ class TestStochasticPath:
         p = random_maxcut(9, beta=3.0, seed=2)
         cfg = SolverConfig(iters=1, samples=24, seed=4)
         tr = solve(p, cfg)
-        interval = spectral_bounds(p.cost, seed=4)
+        op = p.shifted_operator(np.zeros(9))
         z = draw_probes(9, 24, 4, 0)
-        batch = probe_gibbs(p.shifted_operator(np.zeros(9)), 3.0, interval, z)
+        batch = probe_gibbs(op, 3.0, spectral_bounds(op, seed=4), z)
         grad = p.stochastic_gradient(batch)
         assert tr.feasibility[0] == pytest.approx(p.feasibility_error(grad), abs=1e-14)
         assert tr.grad_dual_norm[0] == pytest.approx(
@@ -238,6 +239,74 @@ class TestStochasticPath:
         assert len(tr) == 6
         assert np.all(np.isfinite(tr.grad_dual_norm))
         assert tr.trajectory_diameter_hat >= 0.0
+
+
+class TestProbeInterval:
+    """Each iteration's interval comes from spectral_bounds on the shifted
+    cost; solve() trusts it only when it is certified and the images did not
+    grow, and otherwise redoes the batch on the Gershgorin interval."""
+
+    @staticmethod
+    def gradients(p, cfg):
+        grads = []
+        solve(p, cfg, callback=lambda t, lam, g: grads.append(g.copy()))
+        return np.array(grads)
+
+    @staticmethod
+    def narrow(certified):
+        """A spectral_bounds stand-in whose lower end sits mid-spectrum."""
+        def bounds(op, **kwargs):
+            ev = np.linalg.eigvalsh(op.to_dense())
+            return SpectralInterval(0.5 * (ev[0] + ev[-1]), ev[-1],
+                                    certified=certified)
+        return bounds
+
+    @pytest.mark.parametrize("certified", [False, True])
+    def test_bad_interval_falls_back_to_gershgorin(self, monkeypatch, certified):
+        p = random_maxcut(12, beta=3.0, seed=5)
+        cfg = SolverConfig(iters=4, samples=32, seed=2)
+        want = self.gradients(p, cfg)
+        used = []
+
+        def spy(op, beta, interval, z, tol):
+            used.append((interval.lo, interval.hi, op.inf_norm_bound()))
+            return probe_gibbs(op, beta, interval, z, tol=tol)
+
+        monkeypatch.setattr(solver_module, "spectral_bounds", self.narrow(certified))
+        monkeypatch.setattr(solver_module, "probe_gibbs", spy)
+        got = self.gradients(p, cfg)
+        # an uncertified interval is never used; a certified one that is too
+        # narrow is tried, its images grow, and the batch is redone
+        tries = 2 if certified else 1
+        assert len(used) == tries * cfg.iters
+        for lo, hi, r in used[tries - 1::tries]:
+            assert (lo, hi) == (-r, r)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=cfg.probe_tol)
+
+    def test_batch_that_still_grows_raises(self, monkeypatch):
+        p = random_maxcut(12, beta=3.0, seed=5)
+        monkeypatch.setattr(solver_module, "spectral_bounds", self.narrow(False))
+        monkeypatch.setattr(SymOperator, "inf_norm_bound", lambda self: 0.1)
+        with pytest.raises(RuntimeError, match="iteration 0: .*mass"):
+            solve(p, SolverConfig(iters=2, samples=8, seed=0))
+
+    def test_large_beta_reports_the_exact_feasibility(self):
+        # at beta = 30 a lower end padded far below the smallest eigenvalue
+        # would shrink every image into roundoff and the reported feasibility
+        # would drift far below the exact one
+        p = gen_er_maxcut(500, seed=0, beta=30.0)
+        tr = solve(p, SolverConfig(iters=35, samples=156, seed=0))
+        exact = p.feasibility_error(p.dense_eval(tr.best_dual, 500)[0])
+        # probe noise: the same estimator on exact images of fresh batches
+        evals, vecs = np.linalg.eigh(p.shifted_operator(tr.best_dual).to_dense())
+        factor = (vecs * np.exp(-15.0 * (evals - evals[0]))) @ vecs.T
+        rng = np.random.default_rng(5)
+        noise = 0.0
+        for _ in range(16):
+            w = factor @ rng.choice([-1.0, 1.0], size=(500, 156))
+            r = np.einsum("ns,ns->n", w, w)
+            noise = max(noise, abs(np.abs(r / r.sum() - p.b).sum() - exact))
+        assert abs(tr.feasibility[tr.best_iteration] - exact) <= 2.0 * noise
 
 
 class TestDescentInvariants:
