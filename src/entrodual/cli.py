@@ -148,24 +148,18 @@ def _cmd_solve(args) -> int:
 def _cmd_round(args) -> int:
     problem = load_problem(args.problem)
     estimate = _load_estimate(args.estimate)
+    dim, cost_scale = 1, 1.0
     if args.kind == "ot":
         if not isinstance(problem, OTProblem):
             raise ValueError("round ot needs a transport problem directory")
         result = round_ot(estimate, problem.mu, problem.nu, cost=problem.cost)
-        payload, cert, measured = (result.payload,
-                                   result.perturbation_certificate,
-                                   result.measured_shift)
         # cert bounds the entrywise l1 plan perturbation; scale by the cost
         # range to bound the objective shift
-        objective_bound = cert * float(np.abs(problem.cost).max())
+        cost_scale = float(np.abs(problem.cost).max())
     elif args.kind == "maxcut":
         if not isinstance(problem, MaxCutProblem):
             raise ValueError("round maxcut needs a cut-relaxation directory")
         result = round_maxcut(estimate, problem.b, problem.cost.to_dense())
-        payload, cert, measured = (result.payload,
-                                   result.perturbation_certificate,
-                                   result.measured_shift)
-        objective_bound = cert
     else:
         if not isinstance(problem, StrongPermSyncProblem):
             raise ValueError("round ps-strong needs a strong synchronization "
@@ -176,11 +170,11 @@ def _cmd_round(args) -> int:
         result = round_strong_ps(dim * estimate, problem.num_images,
                                  problem.block_size,
                                  a=problem.cost.to_dense())
-        payload = result.payload / dim
-        cert = result.perturbation_certificate / dim
-        measured = (None if result.measured_shift is None
-                    else result.measured_shift / dim)
-        objective_bound = cert
+    payload = result.payload / dim
+    cert = result.perturbation_certificate / dim
+    measured = (None if result.measured_shift is None
+                else result.measured_shift / dim)
+    objective_bound = cert * cost_scale
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     scipy.io.mmwrite(out / "rounded.mtx", payload)

@@ -32,6 +32,8 @@ __all__ = [
     "load_matrix_market",
 ]
 
+DENSE_LIMIT = 2048  # largest n the cubic eigendecomposition path accepts
+
 
 def _block_index(nblocks: int, k: int):
     """Row and column indices, each (N, K, K), of the entries of blockdiag(blocks)."""
@@ -398,19 +400,24 @@ def expm_action(op: SymOperator, interval: SpectralInterval, z: np.ndarray,
 
 @dataclass(frozen=True)
 class DenseGibbs:
-    """Dense Gibbs state exp(-beta M) / Z with its log partition function.
+    """Gibbs state exp(-beta M) / Z = W W^T held as its exact factor W = V sqrt(p).
 
-    density is the normalized positive semidefinite matrix with unit trace,
-    log_partition is log Tr exp(-beta M), and spectrum holds the eigenvalues
-    of density in ascending order.
+    V holds the eigenvectors of M and p the state's eigenvalues, which spectrum
+    lists in ascending order; density forms W W^T only on demand.
+    log_partition is log Tr exp(-beta M).
     """
 
-    density: np.ndarray
+    factor: np.ndarray
     log_partition: float
     spectrum: np.ndarray
 
+    @property
+    def density(self) -> np.ndarray:
+        x = self.factor @ self.factor.T
+        return (x + x.T) / 2.0
 
-def dense_gibbs(op: SymOperator, beta: float, limit: int = 2048) -> DenseGibbs:
+
+def dense_gibbs(op: SymOperator, beta: float, limit: int = DENSE_LIMIT) -> DenseGibbs:
     """Eigendecomposition route to the Gibbs state of a symmetric operator.
 
     Intended as the exact small-scale path; refuses n > limit since cost is
@@ -423,14 +430,11 @@ def dense_gibbs(op: SymOperator, beta: float, limit: int = 2048) -> DenseGibbs:
         raise ValueError(
             f"n={op.n} exceeds the dense limit {limit}; use the probe-based path")
     evals, vecs = np.linalg.eigh(op.to_dense())
-    shifted = -beta * (evals - evals[0])
-    w = np.exp(shifted)
+    w = np.exp(-beta * (evals - evals[0]))
     z = w.sum()
     occ = w / z
-    x = (vecs * occ) @ vecs.T
-    x = (x + x.T) / 2.0
-    log_partition = float(np.log(z) - beta * evals[0])
-    return DenseGibbs(density=x, log_partition=log_partition,
+    return DenseGibbs(factor=vecs * np.sqrt(occ),
+                      log_partition=float(np.log(z) - beta * evals[0]),
                       spectrum=np.sort(occ))
 
 

@@ -1,12 +1,12 @@
 """Rademacher trace probes of Gibbs states.
 
-A probe batch holds W whose columns are w_s = exp(-(beta/2) M) z_s for Rademacher
-z_s, its row energies r = diag(W W^T) and the mass sum_s ||w_s||^2 = sum_i r_i.
-The state estimate is X_hat = W W^T / mass; its diagonal is r / mass, and each
-SDP problem reads the other functionals its gradient needs (the diagonal
-blocks, the block sums) straight from W in its stochastic_gradient. Each is a
-ratio of quadratic forms in the columns, so the spectral shift applied inside
-the exponential (a common positive factor across columns) cancels.
+A probe batch holds a factor W of a Gibbs state, read as X = W W^T / mass.
+Its columns are w_s = exp(-(beta/2) M) z_s for Rademacher z_s, an estimate,
+or the exact factor V sqrt(p) of dense_gibbs. Each SDP problem reads every
+functional its gradient needs (the diagonal, the diagonal blocks, the block
+sums) straight from W in its stochastic_gradient. Each is a ratio of
+quadratic forms in the columns, so a common positive factor, such as the
+spectral shift applied inside the exponential, cancels.
 """
 
 from __future__ import annotations
@@ -58,19 +58,21 @@ def draw_probes(n: int, num_samples: int, seed: int, iteration: int) -> np.ndarr
 
 @dataclass(frozen=True)
 class ProbeBatch:
-    """Probe images of a Gibbs factor with their row energies.
+    """Columns of a Gibbs factor with their row energies, derived from them.
 
-    images holds the spectrally shifted columns w_s; r_i = sum_s w_is^2 is the
-    diagonal of W W^T and mass = sum_i r_i = sum_s ||w_s||^2 the denominator
-    of every normalized functional.
+    images holds the columns w_s (probe images or the exact dense factor);
+    r_i = sum_s w_is^2 is the diagonal of W W^T and mass = sum_i r_i the
+    denominator of every normalized functional.
     """
 
     images: np.ndarray
-    r: np.ndarray
+    r: np.ndarray = field(init=False)
     mass: float = field(init=False)
 
     def __post_init__(self):
         assert self.images.ndim == 2 and self.images.shape[1] >= 1
+        object.__setattr__(self, "r", np.einsum("ns,ns->n", self.images,
+                                                self.images))
         object.__setattr__(self, "mass", float(self.r.sum()))
         if not self.mass > 0.0:
             raise ValueError(f"probe batch has zero or non-finite mass {self.mass}; "
@@ -101,4 +103,4 @@ def probe_gibbs(op: SymOperator, beta: float, interval: SpectralInterval,
     half = 0.5 * beta
     w = expm_action(op, interval, z, tol=tol, scale=-half,
                     shift=half * interval.lo)
-    return ProbeBatch(images=w, r=np.einsum("ns,ns->n", w, w))
+    return ProbeBatch(w)

@@ -3,12 +3,13 @@
 Each problem owns its cost data and exposes: its dual norm geometry (one of
 the shared norms.LINF, PAIR and BLOCK_SPECTRAL objects), the zero initial
 dual point, one exact evaluator dense_eval(duals, limit) returning
-(gradient, objective) from a single dense Gibbs state or transport plan, a
-probe-based stochastic gradient for the SDPs, the norm-induced update, and
-the primal feasibility metric derived from the gradient. The objective is a
-by-product of the log partition the gradient already needs. Gradients of the
-dual objective coincide with primal constraint residuals of the current Gibbs
-state, which is why feasibility is always a cheap function of the gradient.
+(gradient, objective), a probe-based stochastic gradient for the SDPs, the
+norm-induced update, and the primal feasibility metric derived from the
+gradient. Each gradient is the constraint residual of the current Gibbs state,
+so feasibility is a cheap function of it. An SDP reads its residual
+A(W W^T / mass) - b once, in stochastic_gradient, from a factor W: the probe
+images, or in dense_eval the exact factor of one eigendecomposition, whose
+log partition also gives the objective.
 
 Sign convention: the dual concave objective g(lambda) is stored negated, as
 f(lambda) = -g(lambda), so every routine here minimizes f. Constraint data
@@ -26,7 +27,7 @@ import numpy as np
 from entrodual.norms import (BLOCK_SPECTRAL, LINF, PAIR, BlockSpectralGeometry,
                              LinfGeometry, PairGeometry, step_block, step_linf,
                              step_pair)
-from entrodual.operators import SymOperator, dense_gibbs
+from entrodual.operators import DENSE_LIMIT, SymOperator, dense_gibbs
 from entrodual.probes import ProbeBatch
 
 __all__ = [
@@ -36,23 +37,30 @@ __all__ = [
     "WeakPermSyncProblem",
 ]
 
-DENSE_LIMIT = 2048
 
+class _GibbsProblem:
+    """Shared by the SDPs: dense_eval reads the exact factor via stochastic_gradient."""
 
-def _diag_blocks(x: np.ndarray, nblocks: int, k: int) -> np.ndarray:
-    """Extract the (N, K, K) diagonal blocks of a dense NK x NK matrix."""
-    return np.einsum("ikil->ikl", x.reshape(nblocks, k, nblocks, k))
+    @property
+    def dimension(self) -> int:
+        return self.cost.n
 
+    def _check_batch(self, batch: ProbeBatch) -> None:
+        if batch.n != self.dimension:
+            raise ValueError("probe batch dimension mismatch")
 
-def _batch_blocks(batch: ProbeBatch, k: int) -> np.ndarray:
-    """All (N, K, K) diagonal-block estimates of X_hat in one pass."""
-    nblocks = batch.n // k
-    rows = batch.images.reshape(nblocks, k, batch.num_samples)
-    return np.einsum("nks,nls->nkl", rows, rows) / batch.mass
+    def dense_eval(self, lam, limit: int = DENSE_LIMIT):
+        """(gradient, objective) from a single eigendecomposition."""
+        state = dense_gibbs(self.shifted_operator(lam), self.beta, limit)
+        return (self.stochastic_gradient(ProbeBatch(state.factor)),
+                -self.linear_term(lam) + state.log_partition / self.beta)
+
+    def default_sample_count(self, coef: float = 25.0) -> int:
+        return max(1, ceil(coef * log(max(2, self.dimension))))
 
 
 @dataclass(frozen=True)
-class MaxCutProblem:
+class MaxCutProblem(_GibbsProblem):
     """Minimize Tr[CX] + entropy/beta over unit-trace PSD X with diag(X) = b."""
 
     cost: SymOperator
@@ -72,10 +80,6 @@ class MaxCutProblem:
             raise ValueError("beta must be positive and finite")
 
     @property
-    def dimension(self) -> int:
-        return self.cost.n
-
-    @property
     def kappa(self) -> float:
         return float(self.b.max() / self.b.min())
 
@@ -91,15 +95,8 @@ class MaxCutProblem:
     def linear_term(self, lam: np.ndarray) -> float:
         return float(self.b @ lam)
 
-    def dense_eval(self, lam, limit: int = DENSE_LIMIT):
-        """(gradient, objective) from a single eigendecomposition."""
-        state = dense_gibbs(self.shifted_operator(lam), self.beta, limit)
-        return (np.diag(state.density) - self.b,
-                -self.linear_term(lam) + state.log_partition / self.beta)
-
     def stochastic_gradient(self, batch: ProbeBatch) -> np.ndarray:
-        if batch.n != self.dimension:
-            raise ValueError("probe batch dimension mismatch")
+        self._check_batch(batch)
         return batch.r / batch.mass - self.b
 
     def update(self, lam, grad, eta: float) -> np.ndarray:
@@ -107,9 +104,6 @@ class MaxCutProblem:
 
     def feasibility_error(self, grad) -> float:
         return LINF.dual(grad)
-
-    def default_sample_count(self, coef: float = 25.0) -> int:
-        return max(1, ceil(coef * log(max(2, self.dimension))))
 
     def descriptor(self) -> dict:
         return {"kind": "maxcut", "n": self.dimension, "beta": self.beta,
@@ -207,7 +201,7 @@ class OTProblem:
 
 
 @dataclass(frozen=True)
-class _SyncProblem:
+class _SyncProblem(_GibbsProblem):
     """Shared data of the synchronization SDPs: N images of K keypoints each."""
 
     cost: SymOperator
@@ -222,10 +216,6 @@ class _SyncProblem:
             raise ValueError("operator size must equal num_images * block_size")
         if not 0.0 < self.beta < np.inf:
             raise ValueError("beta must be positive and finite")
-
-    @property
-    def dimension(self) -> int:
-        return self.cost.n
 
     def descriptor(self) -> dict:
         return {"kind": self.kind, "num_images": self.num_images,
@@ -255,19 +245,12 @@ class StrongPermSyncProblem(_SyncProblem):
     def linear_term(self, lam: np.ndarray) -> float:
         return float(np.trace(lam, axis1=1, axis2=2).sum() / self.dimension)
 
-    def _target(self) -> np.ndarray:
-        return np.eye(self.block_size) / self.dimension
-
-    def dense_eval(self, lam, limit: int = DENSE_LIMIT):
-        state = dense_gibbs(self.shifted_operator(lam), self.beta, limit)
-        blocks = _diag_blocks(state.density, self.num_images, self.block_size)
-        return (blocks - self._target(),
-                -self.linear_term(lam) + state.log_partition / self.beta)
-
     def stochastic_gradient(self, batch: ProbeBatch) -> np.ndarray:
-        if batch.n != self.dimension:
-            raise ValueError("probe batch dimension mismatch")
-        return _batch_blocks(batch, self.block_size) - self._target()
+        self._check_batch(batch)
+        rows = batch.images.reshape(self.num_images, self.block_size,
+                                    batch.num_samples)
+        blocks = np.einsum("nks,nls->nkl", rows, rows) / batch.mass
+        return blocks - np.eye(self.block_size) / self.dimension
 
     def update(self, lam, grad, eta: float) -> np.ndarray:
         return step_block(lam, grad, eta)
@@ -306,27 +289,15 @@ class WeakPermSyncProblem(_SyncProblem):
         lam, mu = duals
         return float((np.sum(lam) + np.sum(mu)) / self.dimension)
 
-    def _residuals(self, diag: np.ndarray, block_means: np.ndarray):
-        inv_n = 1.0 / self.dimension
-        return (diag - inv_n, block_means - inv_n)
-
-    def dense_eval(self, duals, limit: int = DENSE_LIMIT):
-        state = dense_gibbs(self.shifted_operator(duals), self.beta, limit)
-        blocks = _diag_blocks(state.density, self.num_images, self.block_size)
-        grad = self._residuals(np.diag(state.density),
-                               blocks.sum(axis=(1, 2)) / self.block_size)
-        obj = -self.linear_term(duals) + state.log_partition / self.beta
-        return grad, obj
-
     def stochastic_gradient(self, batch: ProbeBatch):
-        if batch.n != self.dimension:
-            raise ValueError("probe batch dimension mismatch")
+        self._check_batch(batch)
         rows = batch.images.reshape(self.num_images, self.block_size,
                                     batch.num_samples)
         colsum = rows.sum(axis=1)
         block_means = np.einsum("ns,ns->n", colsum, colsum) / (batch.mass
                                                                * self.block_size)
-        return self._residuals(batch.r / batch.mass, block_means)
+        inv_n = 1.0 / self.dimension
+        return (batch.r / batch.mass - inv_n, block_means - inv_n)
 
     def update(self, duals, grad, eta: float):
         return step_pair(duals, grad, eta)
@@ -334,7 +305,4 @@ class WeakPermSyncProblem(_SyncProblem):
     def feasibility_error(self, grad) -> float:
         g, h = grad
         return float(np.hypot(np.abs(g).sum(), np.abs(h).sum()))
-
-    def default_sample_count(self, coef: float = 25.0) -> int:
-        return max(1, ceil(coef * log(max(2, self.dimension))))
 

@@ -26,7 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from entrodual.norms import dual_norm, primal_norm
-from entrodual.operators import SpectralInterval, spectral_bounds
+from entrodual.operators import DENSE_LIMIT, SpectralInterval, spectral_bounds
 from entrodual.probes import draw_probes, probe_gibbs
 from entrodual.problems import OTProblem
 
@@ -57,7 +57,7 @@ class SolverConfig:
     dense_oracle: bool = False
     tol_feasibility: Optional[float] = None
     probe_tol: float = 1e-8
-    dense_limit: int = 2048
+    dense_limit: int = DENSE_LIMIT
 
     def __post_init__(self):
         if self.iters < 1:
@@ -68,6 +68,13 @@ class SolverConfig:
             raise ValueError("beta must be positive and finite")
         if self.samples is not None and self.samples < 1:
             raise ValueError("samples must be positive")
+        for name in ("tol_feasibility", "gamma_target"):
+            if not 0.0 <= (getattr(self, name) or 0.0) < math.inf:
+                raise ValueError(f"{name} must be finite and nonnegative")
+        if not 0.0 < self.probe_tol < 1.0:
+            raise ValueError("probe_tol must be finite and in (0, 1)")
+        if not self.dense_limit >= 1:
+            raise ValueError("dense_limit must be at least 1")
 
     def resolve(self, problem):
         """(beta, eta) for this run, warning when eta exceeds 1/beta."""
@@ -136,13 +143,18 @@ class SolverTrace:
         """Reload a trace from write_csv and write_metadata output.
 
         Duals are not stored, so best_dual and final_dual are None. A missing
-        or malformed field raises ValueError naming the file it came from.
+        or malformed field, or a blank cell outside dual_obj, raises
+        ValueError naming the file it came from.
         """
         with open(csv_path, newline="") as fh:
             rows = list(csv.reader(fh))[1:]
         if not rows or any(len(row) != len(CSV_HEADER) for row in rows):
             raise ValueError(f"{csv_path}: expected data rows of "
                              f"{len(CSV_HEADER)} columns ({', '.join(CSV_HEADER)})")
+        for i, row in enumerate(rows, start=1):
+            blank = [h for h, v in zip(CSV_HEADER, row) if not v and h != "dual_obj"]
+            if blank:
+                raise ValueError(f"{csv_path}: data row {i} has a blank {blank[0]}")
         try:
             cols = np.array([[float(v) if v else np.nan for v in row]
                              for row in rows]).T
@@ -201,10 +213,9 @@ def _probe_batch(op, beta: float, z: np.ndarray, config: SolverConfig):
     The exponent is shifted by the interval's lower end, so when that end is
     at or below the smallest eigenvalue every image is no longer than its
     probe and the mass is at most ||z||^2, which is n S for Rademacher
-    probes. An uncertified Lanczos
-    interval, or a batch above that ceiling, is redone on the Gershgorin
-    interval [-R, R] with R the largest absolute row sum; a batch that still
-    exceeds it raises.
+    probes. An uncertified Lanczos interval, or a batch above that ceiling,
+    is redone on the Gershgorin interval [-R, R] with R the largest absolute
+    row sum; a batch that still exceeds it raises.
     """
     ceiling = z.size * (1.0 + 1e-6)
     interval = spectral_bounds(op, seed=config.seed)
@@ -341,6 +352,8 @@ def certify_gradient_decay(trace: SolverTrace, problem,
             gamma = trace.config.gamma_target
         else:
             raise ValueError("stochastic run without a declared gamma_target")
+    if not 0.0 <= gamma < math.inf:
+        raise ValueError("gamma must be finite and nonnegative")
     observed = float(trace.grad_dual_norm.min())
 
     if isinstance(problem, OTProblem):

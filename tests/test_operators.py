@@ -462,6 +462,13 @@ class TestDenseGibbs:
         with pytest.raises(ValueError, match="probe"):
             dense_gibbs(op, beta=1.0, limit=4)
 
+    def test_factor_reproduces_density(self):
+        rng = np.random.default_rng(13)
+        g = dense_gibbs(SymOperator.from_dense(random_symmetric(rng, 9)), beta=1.7)
+        assert g.factor.shape == (9, 9)
+        np.testing.assert_allclose(g.factor @ g.factor.T, g.density, atol=1e-15)
+        assert abs(np.sum(g.factor * g.factor) - 1.0) <= 1e-14
+
     def test_spectrum_field(self):
         rng = np.random.default_rng(12)
         a = random_symmetric(rng, 6)

@@ -121,7 +121,7 @@ class TestProbeGibbs:
 
     def test_zero_mass_rejected(self):
         with pytest.raises(ValueError, match="mass"):
-            ProbeBatch(images=np.zeros((3, 2)), r=np.zeros(3))
+            ProbeBatch(np.zeros((3, 2)))
 
     def test_beta_positive(self):
         op = SymOperator.from_dense(np.eye(2))

@@ -3,8 +3,8 @@ import pytest
 from scipy.linalg import expm
 from scipy.optimize import minimize
 
-from entrodual import (SolverConfig, SymOperator, dense_gibbs, gen_er_maxcut,
-                       spectral_bounds)
+from entrodual import (SolverConfig, SymOperator, certify_gradient_decay,
+                       dense_gibbs, gen_er_maxcut, solve, spectral_bounds)
 from entrodual.norms import dual_norm, primal_norm
 from entrodual.probes import draw_probes, probe_gibbs
 from entrodual.problems import (
@@ -203,6 +203,35 @@ class TestSDPExactGradient:
             fd = (p.dense_eval((lam, mu + e))[1]
                   - p.dense_eval((lam, mu - e))[1]) / (2 * h)
             assert abs(fd - gm[i]) <= 1e-6
+
+    @pytest.mark.parametrize("kind", ["maxcut", "ps-strong", "ps-weak"])
+    def test_shared_read_matches_dense_functionals(self, kind):
+        # the exact gradient is read from the Gibbs factor; read it again here
+        # from the dense state, entry by entry, as an independent reference
+        rng = np.random.default_rng(31)
+        nb, k = 4, 3
+        n = nb * k
+        if kind == "maxcut":
+            p = random_maxcut(rng, n, uniform_b=False)
+            lam = rng.standard_normal(n)
+        elif kind == "ps-strong":
+            p = random_strong(rng, nb, k)
+            lam = sym_stack(rng, nb, k)
+        else:
+            p = random_weak(rng, nb, k)
+            lam = (rng.standard_normal(n), rng.standard_normal(nb))
+        grad, _ = p.dense_eval(lam)
+        x = dense_gibbs(p.shifted_operator(lam), p.beta).density
+        blocks = np.einsum("ikil->ikl", x.reshape(nb, k, nb, k))
+        if kind == "maxcut":
+            pairs = [(grad, np.diag(x) - p.b)]
+        elif kind == "ps-strong":
+            pairs = [(grad, blocks - np.eye(k) / n)]
+        else:
+            pairs = [(grad[0], np.diag(x) - 1.0 / n),
+                     (grad[1], blocks.sum(axis=(1, 2)) / k - 1.0 / n)]
+        for got, want in pairs:
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
 
     def test_dense_limit_error(self):
         p = MaxCutProblem(SymOperator.zeros(8), np.full(8, 0.125), 1.0)
@@ -434,9 +463,33 @@ NAN, INF = float("nan"), float("inf")
     lambda: SolverConfig(eta=NAN),
     lambda: SolverConfig(beta=NAN),
     lambda: dense_gibbs(SymOperator.zeros(2), NAN),
+    lambda: SolverConfig(tol_feasibility=NAN),
+    lambda: SolverConfig(tol_feasibility=-1e-3),
+    lambda: SolverConfig(gamma_target=NAN),
+    lambda: SolverConfig(gamma_target=-5.0),
+    lambda: SolverConfig(probe_tol=NAN),
+    lambda: SolverConfig(probe_tol=0.0),
+    lambda: SolverConfig(probe_tol=1.0),
+    lambda: _certify_toy(NAN),
+    lambda: _certify_toy(-0.5),
 ], ids=["er-maxcut-beta-nan", "maxcut-beta-inf", "ot-beta-nan", "ot-mu-nan",
         "ot-cost-nan", "ot-cost-inf", "ps-strong-beta-nan", "ps-weak-beta-inf",
-        "config-eta-inf", "config-eta-nan", "config-beta-nan", "dense-gibbs-beta-nan"])
+        "config-eta-inf", "config-eta-nan", "config-beta-nan", "dense-gibbs-beta-nan",
+        "config-tol-nan", "config-tol-negative", "config-gamma-nan",
+        "config-gamma-negative", "config-probe-tol-nan", "config-probe-tol-zero",
+        "config-probe-tol-one", "certify-gamma-nan", "certify-gamma-negative"])
 def test_non_finite_input_rejected(build):
     with pytest.raises(ValueError, match="finite"):
         build()
+
+
+def _certify_toy(gamma):
+    p = gen_er_maxcut(8, seed=0, beta=2.0)
+    trace = solve(p, SolverConfig(iters=3, samples=8))
+    return certify_gradient_decay(trace, p, gamma=gamma)
+
+
+@pytest.mark.parametrize("limit", [0, -3])
+def test_dense_limit_below_one_rejected(limit):
+    with pytest.raises(ValueError, match="dense_limit"):
+        SolverConfig(dense_limit=limit)
