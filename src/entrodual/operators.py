@@ -1,11 +1,11 @@
 """Symmetric operators, spectral intervals, exponential action, dense Gibbs states.
 
 Everything here works on real symmetric matrices only. An operator is one full
-symmetric CSR base plus at most one diagonal vector and one block-diagonal
-stack. Shifting by a dual point only attaches add-ons and never copies the
-base; expm_action folds the operator, its add-ons and the Chebyshev affine map
-into one base-only operator per call, so each term of the recurrence costs a
-single product."""
+symmetric CSR matrix. Shifting the cost by a dual point is one folded() write
+of alpha (cost + diagonal + block diagonal) + shift I into a pattern cached per
+cost, and the result keeps its own pattern, so expm_action folds in the
+Chebyshev affine map with one more write and each term of the recurrence costs
+a single product."""
 
 from __future__ import annotations
 
@@ -35,13 +35,6 @@ __all__ = [
 DENSE_LIMIT = 2048  # largest n the cubic eigendecomposition path accepts
 
 
-def _block_index(nblocks: int, k: int):
-    """Row and column indices, each (N, K, K), of the entries of blockdiag(blocks)."""
-    start = np.arange(nblocks)[:, None, None] * k
-    local = np.arange(k)
-    return start + local[None, :, None], start + local[None, None, :]
-
-
 def _fold_pattern(base: sp.csr_array, k: int):
     """CSR pattern of base + diagonal (+ K x K diagonal blocks when k > 0).
 
@@ -53,8 +46,8 @@ def _fold_pattern(base: sp.csr_array, k: int):
     rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(base.indptr))
     parts = [rows * n + base.indices, np.arange(n, dtype=np.int64) * (n + 1)]
     if k:
-        brow, bcol = _block_index(n // k, k)
-        parts.append((brow * n + bcol).ravel())
+        start, local = np.arange(0, n, k)[:, None, None], np.arange(k)
+        parts.append(((start + local[:, None]) * n + start + local).ravel())
     keys = np.sort(np.concatenate(parts))
     keys = keys[np.append(True, keys[1:] != keys[:-1])]
     idx = np.int32 if max(keys.size, n) < 2**31 else np.int64
@@ -64,27 +57,18 @@ def _fold_pattern(base: sp.csr_array, k: int):
 
 
 class SymOperator:
-    """Real symmetric operator with a cheap matvec.
+    """Real symmetric operator held as one full symmetric CSR matrix, base.
 
-    The base is a full symmetric CSR matrix. At most one diagonal vector and
-    one symmetric block-diagonal stack (N, K, K) with N*K = n sit on top of
-    it; they are summed only by folding. Instances are treated as immutable;
-    add_* methods return new objects that share the base. The CSR pattern of
-    base + diagonal + blocks is built once per base and block size and shared
-    by every derived operator, so folding one into a single matrix (folded) is
-    a vectorised write into a fresh data array.
+    Instances are treated as immutable. folded() builds every derived
+    operator with a single write into the CSR pattern of base + diagonal
+    (+ diagonal blocks), which is built once per base and block size.
     """
 
-    def __init__(self, base, diag=None, blocks=None, _patterns=None):
+    def __init__(self, base):
         self.base = base
         self.n = base.shape[0]
         assert base.shape == (self.n, self.n)
-        self.diag = diag
-        self.blocks = blocks
-        if blocks is not None:
-            nb, k, k2 = blocks.shape
-            assert k == k2 and nb * k == self.n, "block stack does not tile the diagonal"
-        self._patterns = {} if _patterns is None else _patterns
+        self._patterns = {}
 
     # ---- constructors -------------------------------------------------
 
@@ -93,10 +77,7 @@ class SymOperator:
         a = np.asarray(a, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("expected a square 2-d array")
-        scale = max(1.0, np.abs(a).max()) if a.size else 1.0
-        if np.abs(a - a.T).max(initial=0.0) > tol * scale:
-            raise ValueError("input matrix is not symmetric")
-        return cls(sp.csr_array((a + a.T) / 2.0))
+        return cls.from_sparse(sp.csr_array(a), tol)
 
     @classmethod
     def from_triplets(cls, n: int, rows, cols, vals) -> "SymOperator":
@@ -123,7 +104,7 @@ class SymOperator:
         scale = max(1.0, np.abs(m.data).max()) if m.nnz else 1.0
         asym = abs(m - m.T)
         if asym.nnz and asym.data.max() > tol * scale:
-            raise ValueError("input sparse matrix is not symmetric")
+            raise ValueError("input matrix is not symmetric")
         base = sp.csr_array((m + m.T) / 2.0)
         base.sum_duplicates()
         return cls(base)
@@ -140,10 +121,8 @@ class SymOperator:
         With into, the product is added to into in place and into is returned.
         The CSR kernel writes into's raw memory, so into must be a writeable,
         C-contiguous float64 array of v's shape that does not overlap v.
-        An operator with add-ons is folded on every call; repeated products
-        should go through one folded() operator.
         """
-        m = self.base if self.diag is None and self.blocks is None else self.folded().base
+        m = self.base
         v = np.ascontiguousarray(v, dtype=float)
         if v.ndim not in (1, 2) or v.shape[0] != self.n:
             raise ValueError(f"expected ({self.n},) or ({self.n}, S) input, got {v.shape}")
@@ -161,49 +140,47 @@ class SymOperator:
                                      m.data, v.reshape(-1), into.reshape(-1))
         return into
 
-    def add_diagonal(self, d: np.ndarray) -> "SymOperator":
-        d = np.asarray(d, dtype=float)
-        assert d.shape == (self.n,)
-        new = d if self.diag is None else self.diag + d
-        return SymOperator(self.base, new, self.blocks, self._patterns)
+    def folded(self, alpha: float = 1.0, shift: float = 0.0, *, diag=None,
+               blocks=None) -> "SymOperator":
+        """alpha * (self + diag(diag) + blockdiag(blocks)) + shift * I, one write.
 
-    def add_block_diag(self, blocks: np.ndarray) -> "SymOperator":
-        """Add blockdiag(blocks), blocks shaped (N, K, K) with N*K = n."""
-        blocks = np.asarray(blocks, dtype=float)
-        new = blocks if self.blocks is None else self.blocks + blocks
-        return SymOperator(self.base, self.diag, new, self._patterns)
-
-    def folded(self, alpha: float = 1.0, shift: float = 0.0) -> "SymOperator":
-        """alpha * self + shift * I as a base-only operator with a fresh base.
-
-        A CSR result shares its index arrays with the cached pattern, so they
-        must not be modified in place.
+        blocks is a symmetric (N, K, K) stack with N*K = n. The result holds
+        the pattern of base + diagonal (+ blocks) and keeps it as its own, so
+        folding it again without blocks builds no pattern. Its CSR index
+        arrays are shared with that cached pattern and must not be modified
+        in place.
         """
-        d = shift if self.diag is None else alpha * self.diag + shift
-        k = 0 if self.blocks is None else self.blocks.shape[1]
+        k = 0
+        if blocks is not None:
+            blocks = np.asarray(blocks, dtype=float)
+            nb, k, k2 = blocks.shape
+            assert k == k2 and nb * k == self.n, "block stack does not tile the diagonal"
+        assert diag is None or np.shape(diag) == (self.n,), "diag needs one entry per row"
         if k not in self._patterns:
             self._patterns[k] = _fold_pattern(self.base, k)
         indptr, indices, pos = self._patterns[k]
         data = np.zeros(indices.size)
         data[pos[0]] = alpha * self.base.data
-        data[pos[1]] += d
+        data[pos[1]] += shift if diag is None else alpha * np.asarray(diag) + shift
         if k:
-            data[pos[2]] += alpha * self.blocks.ravel()
-        return SymOperator(sp.csr_array((data, indices, indptr),
-                                        shape=(self.n, self.n)))
+            data[pos[2]] += alpha * blocks.ravel()
+        out = SymOperator(sp.csr_array((data, indices, indptr), shape=(self.n, self.n)))
+        # the result's data is its pattern's data in order, so base goes in whole
+        out._patterns = {0: (indptr, indices, [slice(None), pos[1]])}
+        return out
 
     def to_dense(self) -> np.ndarray:
-        return self.folded().base.toarray()
+        return self.base.toarray()
 
     def to_sparse(self):
-        """Materialize as CSR, including any attached diagonal and blocks."""
-        out = sp.csr_array(self.folded().base, copy=True)
+        """A CSR copy without explicit zeros."""
+        out = sp.csr_array(self.base, copy=True)
         out.eliminate_zeros()
         return out
 
     def inf_norm_bound(self) -> float:
-        """Max absolute row sum of the full operator; upper-bounds the spectral radius."""
-        row = abs(self.folded().base).sum(axis=1)
+        """Max absolute row sum; upper-bounds the spectral radius."""
+        row = abs(self.base).sum(axis=1)
         return float(np.max(row, initial=0.0))
 
 
@@ -211,14 +188,12 @@ class SymOperator:
 class SpectralInterval:
     """Closed interval [lo, hi] intended to contain the spectrum of an operator.
 
-    margin records the relative inflation applied to the raw estimates and
     certified is False when the Lanczos run of spectral_bounds did not
     converge.
     """
 
     lo: float
     hi: float
-    margin: float = 0.0
     certified: bool = True
 
     def __post_init__(self):
@@ -233,7 +208,7 @@ class SpectralInterval:
 
     def padded(self, r: float) -> "SpectralInterval":
         assert r >= 0.0
-        return SpectralInterval(self.lo - r, self.hi + r, self.margin, self.certified)
+        return SpectralInterval(self.lo - r, self.hi + r, self.certified)
 
 
 # Lanczos steps between convergence checks; a check costs about one product
@@ -285,10 +260,11 @@ def spectral_bounds(op: SymOperator, *, margin: float = 0.05, tol: float = 1e-2,
 
     One Lanczos run from a seeded Gaussian start, with full
     reorthogonalisation and at most max_iter basis vectors, so at most
-    max_iter products and an n x max_iter basis. It stops once both extreme
-    Ritz pairs (theta, y) have residual r = ||op y - theta y|| at most
-    tol * max(1, |theta|), theta the larger in magnitude of the two; each
-    [theta - r, theta + r] then holds an eigenvalue. The interval
+    max_iter products with op's CSR matrix and an n x max_iter basis. It
+    stops once both extreme Ritz pairs (theta, y) have residual
+    r = ||op y - theta y|| at most tol * max(1, |theta|), theta the larger
+    in magnitude of the two; each [theta - r, theta + r] then holds an
+    eigenvalue. The interval
     [theta_min - r_min, theta_max + r_max] is inflated on both sides by
     margin times its width, so multiplicity-n spectra (width zero) stay
     tight. Ritz values lie inside the spectrum, so a small residual alone
@@ -297,13 +273,11 @@ def spectral_bounds(op: SymOperator, *, margin: float = 0.05, tol: float = 1e-2,
     Convergence is therefore tested only after the number of steps that,
     from a random start, bounds that chance for any spectrum (see
     _min_lanczos_steps); when n is below both that number and max_iter, the
-    run spans the whole space and is exact. certified is False when the basis ran out first; the
-    interval is then an estimate. An operator with add-ons is folded once.
+    run spans the whole space and is exact. certified is False when the
+    basis ran out first; the interval is then an estimate.
     """
     if margin < 0.0:
         raise ValueError("margin must be nonnegative")
-    if op.diag is not None or op.blocks is not None:
-        op = op.folded()
     m = max(1, min(max_iter, op.n))
     basis = np.empty((m, op.n))
     alpha, beta = np.empty(m), np.zeros(m)
@@ -333,8 +307,7 @@ def spectral_bounds(op: SymOperator, *, margin: float = 0.05, tol: float = 1e-2,
         basis[j + 1] = w / beta[j]
     lo, hi = ends[0] - resid[0], ends[1] + resid[1]
     pad = margin * (hi - lo)
-    return SpectralInterval(float(lo - pad), float(hi + pad), margin=margin,
-                            certified=converged)
+    return SpectralInterval(float(lo - pad), float(hi + pad), certified=converged)
 
 
 def _chebyshev_degree(half_width: float, tol: float) -> np.ndarray:
@@ -402,14 +375,12 @@ def expm_action(op: SymOperator, interval: SpectralInterval, z: np.ndarray,
 class DenseGibbs:
     """Gibbs state exp(-beta M) / Z = W W^T held as its exact factor W = V sqrt(p).
 
-    V holds the eigenvectors of M and p the state's eigenvalues, which spectrum
-    lists in ascending order; density forms W W^T only on demand.
-    log_partition is log Tr exp(-beta M).
+    V holds the eigenvectors of M and p the state's eigenvalues; density
+    forms W W^T only on demand. log_partition is log Tr exp(-beta M).
     """
 
     factor: np.ndarray
     log_partition: float
-    spectrum: np.ndarray
 
     @property
     def density(self) -> np.ndarray:
@@ -434,8 +405,7 @@ def dense_gibbs(op: SymOperator, beta: float, limit: int = DENSE_LIMIT) -> Dense
     z = w.sum()
     occ = w / z
     return DenseGibbs(factor=vecs * np.sqrt(occ),
-                      log_partition=float(np.log(z) - beta * evals[0]),
-                      spectrum=np.sort(occ))
+                      log_partition=float(np.log(z) - beta * evals[0]))
 
 
 def vn_entropy(x: np.ndarray) -> float:
@@ -458,7 +428,4 @@ def vn_entropy(x: np.ndarray) -> float:
 
 def load_matrix_market(path) -> SymOperator:
     """Read a symmetric real matrix from a MatrixMarket file."""
-    m = scipy.io.mmread(path)
-    if isinstance(m, np.ndarray):
-        return SymOperator.from_dense(m)
-    return SymOperator.from_sparse(m)
+    return SymOperator.from_sparse(scipy.io.mmread(path))

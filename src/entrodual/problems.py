@@ -90,7 +90,7 @@ class MaxCutProblem(_GibbsProblem):
         return np.zeros(self.dimension)
 
     def shifted_operator(self, lam: np.ndarray) -> SymOperator:
-        return self.cost.add_diagonal(-np.asarray(lam, dtype=float))
+        return self.cost.folded(diag=-np.asarray(lam, dtype=float))
 
     def linear_term(self, lam: np.ndarray) -> float:
         return float(self.b @ lam)
@@ -240,7 +240,7 @@ class StrongPermSyncProblem(_SyncProblem):
         return np.zeros((self.num_images, self.block_size, self.block_size))
 
     def shifted_operator(self, lam: np.ndarray) -> SymOperator:
-        return self.cost.add_block_diag(-np.asarray(lam, dtype=float))
+        return self.cost.folded(blocks=-np.asarray(lam, dtype=float))
 
     def linear_term(self, lam: np.ndarray) -> float:
         return float(np.trace(lam, axis1=1, axis2=2).sum() / self.dimension)
@@ -283,7 +283,7 @@ class WeakPermSyncProblem(_SyncProblem):
         k = self.block_size
         ones_block = np.ones((k, k)) / k
         blocks = -np.asarray(mu, dtype=float)[:, None, None] * ones_block
-        return self.cost.add_diagonal(-np.asarray(lam, dtype=float)).add_block_diag(blocks)
+        return self.cost.folded(diag=-np.asarray(lam, dtype=float), blocks=blocks)
 
     def linear_term(self, duals) -> float:
         lam, mu = duals

@@ -60,6 +60,11 @@ class SolverConfig:
     dense_limit: int = DENSE_LIMIT
 
     def __post_init__(self):
+        for name in ("iters", "samples", "seed"):
+            value = getattr(self, name)
+            if not (isinstance(value, (int, np.integer))
+                    or (name == "samples" and value is None)):
+                raise ValueError(f"{name} must be a finite integer, got {value!r}")
         if self.iters < 1:
             raise ValueError("need at least one iteration")
         if self.eta is not None and not 0.0 < self.eta < math.inf:
@@ -143,23 +148,28 @@ class SolverTrace:
         """Reload a trace from write_csv and write_metadata output.
 
         Duals are not stored, so best_dual and final_dual are None. A missing
-        or malformed field, or a blank cell outside dual_obj, raises
-        ValueError naming the file it came from.
+        or malformed field raises ValueError naming the file it came from; so
+        does a cell that is not a number, a non-integer iter and a blank or
+        non-finite cell outside dual_obj, with its data row and column.
         """
         with open(csv_path, newline="") as fh:
             rows = list(csv.reader(fh))[1:]
         if not rows or any(len(row) != len(CSV_HEADER) for row in rows):
             raise ValueError(f"{csv_path}: expected data rows of "
                              f"{len(CSV_HEADER)} columns ({', '.join(CSV_HEADER)})")
+        cols = np.empty((len(CSV_HEADER), len(rows)))
         for i, row in enumerate(rows, start=1):
-            blank = [h for h, v in zip(CSV_HEADER, row) if not v and h != "dual_obj"]
-            if blank:
-                raise ValueError(f"{csv_path}: data row {i} has a blank {blank[0]}")
-        try:
-            cols = np.array([[float(v) if v else np.nan for v in row]
-                             for row in rows]).T
-        except ValueError as err:
-            raise ValueError(f"{csv_path}: {err}") from None
+            for j, (name, text) in enumerate(zip(CSV_HEADER, row)):
+                try:
+                    x = float(text) if text or name != "dual_obj" else math.nan
+                except ValueError:
+                    x = None
+                if (x is None or name != "dual_obj" and not math.isfinite(x)
+                        or name == "iter" and not x.is_integer()):
+                    want = {"iter": "an integer", "dual_obj": "a number or blank"}
+                    raise ValueError(f"{csv_path}: data row {i}, column {name}: {text!r} "
+                                     f"is not {want.get(name, 'a finite number')}")
+                cols[j, i - 1] = x
         try:
             meta = json.loads(Path(meta_path).read_text())
             fields = {k: meta[k] for k in ("best_iteration", "best_grad_dual_norm",

@@ -273,7 +273,8 @@ class TestCertifyCommand:
 
     @pytest.mark.parametrize("case", ["no-best-iteration", "unknown-config-field",
                                       "short-csv-rows", "blank-iter-cell",
-                                      "blank-grad-cell", "no-kind"])
+                                      "blank-grad-cell", "fractional-iter-cell",
+                                      "nan-feas-cell", "no-kind"])
     def test_malformed_input_exits_two_naming_the_file(self, tmp_path, capsys,
                                                         case):
         # each input once ended in a raw traceback with exit 1, which certify
@@ -294,15 +295,19 @@ class TestCertifyCommand:
             trace_csv.write_text("\n".join(line.rsplit(",", 2)[0]
                                            for line in lines))
             want = ("trace.csv", "columns")
-        elif case.startswith("blank-"):
-            # a blank iter cell once read back as -2**63, a blank grad_dnorm as NaN
-            col = 0 if case == "blank-iter-cell" else 2
+        elif case.endswith("-cell"):
+            # a blank iter cell once read back as -2**63, "1.5" as 1, and a
+            # blank grad_dnorm or a literal nan feas_err as NaN
+            column, text = {"blank-iter-cell": ("iter", ""),
+                            "blank-grad-cell": ("grad_dnorm", ""),
+                            "fractional-iter-cell": ("iter", "1.5"),
+                            "nan-feas-cell": ("feas_err", "nan")}[case]
             lines = trace_csv.read_text().splitlines()
             cells = lines[3].split(",")
-            cells[col] = ""
+            cells[lines[0].split(",").index(column)] = text
             lines[3] = ",".join(cells)
             trace_csv.write_text("\n".join(lines) + "\n")
-            want = ("trace.csv", "row 3", "iter" if col == 0 else "grad_dnorm")
+            want = ("trace.csv", "row 3", column)
         else:
             problem_meta = json.loads((d / "meta.json").read_text())
             del problem_meta["kind"]

@@ -14,6 +14,7 @@ from entrodual import (
     dense_gibbs,
     expm_action,
     load_matrix_market,
+    operators,
     spectral_bounds,
     vn_entropy,
 )
@@ -83,8 +84,7 @@ class TestApply:
         a = random_symmetric(rng, 8)
         blocks = np.stack([random_symmetric(rng, 4) for _ in range(2)])
         d = rng.standard_normal(8)
-        op = SymOperator.from_dense(a).add_diagonal(d).add_diagonal(np.full(8, -0.3))
-        op = op.add_block_diag(blocks).folded(1.7)
+        op = SymOperator.from_dense(a).folded(1.7, diag=d - 0.3, blocks=blocks)
         ref = a + np.diag(d) - 0.3 * np.eye(8)
         ref[:4, :4] += blocks[0]
         ref[4:, 4:] += blocks[1]
@@ -100,8 +100,7 @@ class TestApply:
         blocks = np.stack([random_symmetric(rng, 3) for _ in range(2)])
         for base in (SymOperator.from_dense(a),
                      SymOperator.from_sparse(sp.csr_array(a))):
-            op = base.add_diagonal(rng.standard_normal(6)).add_diagonal(np.full(6, 0.4))
-            op = op.add_block_diag(blocks)
+            op = base.folded(diag=rng.standard_normal(6) + 0.4, blocks=blocks)
             np.testing.assert_allclose(op.to_sparse().toarray(), op.to_dense(),
                                        atol=1e-12)
 
@@ -340,10 +339,10 @@ NB, K = 4, 3
 
 
 def shifted_case(base_kind, family, rng):
-    """(operator, reference matrix) for one base kind and one problem's add-ons.
+    """(operator, reference matrix) for one base kind and one problem's shift.
 
     The cost has entries inside the diagonal blocks, so the diagonal and block
-    add-ons land on positions the base already holds.
+    terms of the shift land on positions the base already holds.
     """
     n = NB * K
     a = random_symmetric(rng, n, norm=2.0)
@@ -380,7 +379,6 @@ class TestFoldedKernel:
         np.testing.assert_allclose(op.apply(v), ref @ v, atol=1e-13)
         np.testing.assert_allclose(op.apply(v[:, 0]), ref @ v[:, 0], atol=1e-13)
         folded = op.folded(-0.7, 0.3)
-        assert folded.diag is None and folded.blocks is None
         np.testing.assert_allclose(folded.apply(v), (-0.7 * ref + 0.3 * np.eye(NB * K)) @ v,
                                    atol=1e-13)
         assert op.inf_norm_bound() == pytest.approx(np.abs(ref).sum(axis=1).max(),
@@ -426,6 +424,23 @@ class TestFoldedKernel:
             np.exp(-0.7) * z)
 
 
+@pytest.mark.parametrize("family", ["maxcut", "strong", "weak"])
+def test_expm_action_on_shifted_cost_builds_no_pattern(monkeypatch, family):
+    """The shifted operator keeps the pattern it was written into, so the
+    Chebyshev fold inside expm_action reuses it."""
+    rng = np.random.default_rng(25)
+    op, _ = shifted_case("sparse", family, rng)
+    iv = spectral_bounds(op, seed=3)
+    built = []
+    fold_pattern = operators._fold_pattern
+    monkeypatch.setattr(operators, "_fold_pattern",
+                        lambda *args: built.append(args) or fold_pattern(*args))
+    z = rng.standard_normal((NB * K, 2))
+    first = expm_action(op, iv, z)
+    np.testing.assert_array_equal(expm_action(op, iv, z), first)
+    assert built == []
+
+
 class TestDenseGibbs:
     def test_zero_matrix(self):
         g = dense_gibbs(SymOperator.from_dense(np.zeros((2, 2))), beta=1.0)
@@ -468,13 +483,6 @@ class TestDenseGibbs:
         assert g.factor.shape == (9, 9)
         np.testing.assert_allclose(g.factor @ g.factor.T, g.density, atol=1e-15)
         assert abs(np.sum(g.factor * g.factor) - 1.0) <= 1e-14
-
-    def test_spectrum_field(self):
-        rng = np.random.default_rng(12)
-        a = random_symmetric(rng, 6)
-        g = dense_gibbs(SymOperator.from_dense(a), beta=1.3)
-        np.testing.assert_allclose(g.spectrum, np.linalg.eigvalsh(g.density),
-                                   atol=1e-12)
 
 
 class TestEntropy:

@@ -242,7 +242,7 @@ class TestEstimatorStatistics:
         iv = spectral_bounds(op)
         z = draw_probes(8, 5, seed=3, iteration=1)
         plain = probe_gibbs(op, 2.0, iv, z)
-        shifted = probe_gibbs(op.add_diagonal(np.full(8, 4.0)), 2.0,
+        shifted = probe_gibbs(op.folded(diag=np.full(8, 4.0)), 2.0,
                               SpectralInterval(iv.lo + 4.0, iv.hi + 4.0), z)
         for functional in (diag_estimate, lambda b: block_grams(b, 4)[1],
                            lambda b: ones_quadratics(b, 2)[0]):

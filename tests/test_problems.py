@@ -472,12 +472,18 @@ NAN, INF = float("nan"), float("inf")
     lambda: SolverConfig(probe_tol=1.0),
     lambda: _certify_toy(NAN),
     lambda: _certify_toy(-0.5),
+    lambda: SolverConfig(iters=2.5),
+    lambda: SolverConfig(iters=NAN),
+    lambda: SolverConfig(samples=2.5),
+    lambda: SolverConfig(seed=1.5),
 ], ids=["er-maxcut-beta-nan", "maxcut-beta-inf", "ot-beta-nan", "ot-mu-nan",
         "ot-cost-nan", "ot-cost-inf", "ps-strong-beta-nan", "ps-weak-beta-inf",
         "config-eta-inf", "config-eta-nan", "config-beta-nan", "dense-gibbs-beta-nan",
         "config-tol-nan", "config-tol-negative", "config-gamma-nan",
         "config-gamma-negative", "config-probe-tol-nan", "config-probe-tol-zero",
-        "config-probe-tol-one", "certify-gamma-nan", "certify-gamma-negative"])
+        "config-probe-tol-one", "certify-gamma-nan", "certify-gamma-negative",
+        "config-iters-fraction", "config-iters-nan", "config-samples-fraction",
+        "config-seed-fraction"])
 def test_non_finite_input_rejected(build):
     with pytest.raises(ValueError, match="finite"):
         build()
