@@ -28,8 +28,7 @@ def maxcut_specs(args):
         yield f"n={n:5d}  S={samples:4d}", ExperimentSpec(
             kind="maxcut",
             params={"n": n, "beta": args.beta},
-            config=SolverConfig(beta=args.beta, eta=1.0 / args.beta,
-                                iters=args.iters, samples=samples,
+            config=SolverConfig(iters=args.iters, samples=samples,
                                 seed=args.seed),
             out_dir=str(out / f"n{n}"),
             replicates=args.replicates,
@@ -49,9 +48,7 @@ def ot_specs(args):
     yield f"{kind} k={args.k}", ExperimentSpec(
         kind=kind,
         params=params,
-        config=SolverConfig(beta=args.beta, eta=1.0 / args.beta,
-                            iters=args.iters, seed=args.seed,
-                            record_objective=True),
+        config=SolverConfig(iters=args.iters, seed=args.seed),
         out_dir=str(Path(args.out)),
         replicates=args.replicates,
         name=name,
@@ -77,8 +74,7 @@ def permsynch_specs(args):
                    params={"num_images": n_img, "keypoints": k,
                            "registry": registry, "corruption": corruption,
                            "beta": beta},
-                   config=SolverConfig(beta=beta, eta=1.0 / beta,
-                                       iters=args.iters, samples=samples,
+                   config=SolverConfig(iters=args.iters, samples=samples,
                                        seed=args.seed),
                    out_dir=str(out / kind),
                    replicates=args.replicates,

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -122,12 +123,9 @@ def _cmd_solve(args) -> int:
     if problem.descriptor()["kind"] != args.kind:
         raise ValueError(f"problem directory holds kind "
                          f"'{problem.descriptor()['kind']}', not '{args.kind}'")
-    config = SolverConfig(beta=args.beta, eta=args.eta, iters=args.iters,
-                          samples=args.samples, seed=args.seed,
-                          gamma_target=args.gamma_target,
-                          record_objective=args.record_objective,
-                          dense_oracle=args.dense_oracle,
-                          tol_feasibility=args.tol)
+    # every config field has a flag of the same name
+    config = SolverConfig(**{f.name: getattr(args, f.name)
+                             for f in fields(SolverConfig)})
     trace = solve(problem, config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -225,12 +223,10 @@ def _add_solver_flags(p):
     p.add_argument("--out", required=True, help="directory for trace files")
     p.add_argument("--dense-oracle", action="store_true",
                    help="use exact dense gradients instead of probes")
-    p.add_argument("--tol", type=float, default=None,
+    p.add_argument("--tol", dest="tol_feasibility", type=float, default=None,
                    help="stop once the feasibility error falls below this")
     p.add_argument("--gamma-target", type=float, default=None,
                    help="declared gradient-error level for certification")
-    p.add_argument("--record-objective", action="store_true",
-                   help="evaluate the dual objective each iteration")
     p.add_argument("--save-primal", action="store_true",
                    help="write the primal estimate at the best iterate")
 

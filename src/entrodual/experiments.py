@@ -52,7 +52,6 @@ class ExperimentSpec:
     out_dir: str
     replicates: int = 1
     name: str = "experiment"
-    callback_factory: object = None
 
     def __post_init__(self):
         if self.replicates < 1:
@@ -86,9 +85,7 @@ def run_experiment(spec: ExperimentSpec) -> dict:
         entry = {"replicate": r, "seed": seed}
         try:
             problem = build_problem(spec.kind, spec.params, seed)
-            callback = (spec.callback_factory(r) if spec.callback_factory
-                        else None)
-            trace = solve(problem, cfg, callback=callback)
+            trace = solve(problem, cfg)
             csv_path = out / f"{spec.name}_rep{r}.csv"
             meta_path = out / f"{spec.name}_rep{r}.json"
             trace.write_csv(csv_path)

@@ -2,7 +2,7 @@
 
 Each problem owns its cost data and exposes: its dual norm geometry (one of
 the shared norms.LINF, PAIR and BLOCK_SPECTRAL objects), the zero initial
-dual point, one exact evaluator dense_eval(duals, limit) returning
+dual point, one exact evaluator dense_eval(duals) returning
 (gradient, objective), a probe-based stochastic gradient for the SDPs, the
 norm-induced update, and the primal feasibility metric derived from the
 gradient. Each gradient is the constraint residual of the current Gibbs state,
@@ -20,14 +20,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import ceil, log
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from entrodual.norms import (BLOCK_SPECTRAL, LINF, PAIR, BlockSpectralGeometry,
                              LinfGeometry, PairGeometry, step_block, step_linf,
                              step_pair)
-from entrodual.operators import DENSE_LIMIT, SymOperator, dense_gibbs
+from entrodual.operators import SymOperator, dense_gibbs
 from entrodual.probes import ProbeBatch
 
 __all__ = [
@@ -49,9 +49,9 @@ class _GibbsProblem:
         if batch.n != self.dimension:
             raise ValueError("probe batch dimension mismatch")
 
-    def dense_eval(self, lam, limit: int = DENSE_LIMIT):
+    def dense_eval(self, lam):
         """(gradient, objective) from a single eigendecomposition."""
-        state = dense_gibbs(self.shifted_operator(lam), self.beta, limit)
+        state = dense_gibbs(self.shifted_operator(lam), self.beta)
         return (self.stochastic_gradient(ProbeBatch(state.factor)),
                 -self.linear_term(lam) + state.log_partition / self.beta)
 
@@ -179,7 +179,7 @@ class OTProblem:
         """Normalized Gibbs transport plan at the given potentials."""
         return self._plan_and_log_partition(duals)[0]
 
-    def dense_eval(self, duals, limit: Optional[int] = None):
+    def dense_eval(self, duals):
         """(gradient, objective) from one stabilized pass over the log-plan."""
         phi, psi = duals
         pi, log_z = self._plan_and_log_partition(duals)

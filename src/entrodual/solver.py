@@ -19,14 +19,14 @@ import math
 import subprocess
 import time
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
 
 from entrodual.norms import dual_norm, primal_norm
-from entrodual.operators import DENSE_LIMIT, SpectralInterval, spectral_bounds
+from entrodual.operators import SpectralInterval, spectral_bounds
 from entrodual.probes import draw_probes, probe_gibbs
 from entrodual.problems import OTProblem
 
@@ -34,60 +34,68 @@ __all__ = ["SolverConfig", "SolverTrace", "CertificateReport", "solve",
            "certify_gradient_decay"]
 
 CSV_HEADER = ["iter", "feas_err", "grad_dnorm", "dual_obj", "step_norm", "wall_ms"]
+# SolverConfig fields that older trace.json files still carry; read() drops them
+_RETIRED_CONFIG = ("beta", "record_objective", "probe_tol", "dense_limit")
+
+
+def _finite(value) -> bool:
+    """A finite real number; true and false do not count."""
+    return (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool) and math.isfinite(value))
+
+
+# the trace.json scalars read() keeps, each with what its value must be
+_META_FIELDS = {
+    "best_iteration": ("an integer", lambda v: type(v) is int),
+    "stopped_early": ("true or false", lambda v: type(v) is bool),
+    "eta": ("a positive finite number", lambda v: _finite(v) and v > 0.0),
+    "best_grad_dual_norm": ("a finite number", _finite),
+    "trajectory_diameter_hat": ("a finite number", _finite),
+}
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Run parameters. beta, eta and samples resolve against the problem at solve time.
+    """Run parameters; the problem carries the physics (beta and the cost).
 
-    beta None means "use the problem's beta"; a non-None value must agree with
-    it (the problem carries the physics, the config carries the run). eta None
-    resolves to 1/beta; values above 1/beta are allowed but warn, since every
-    guarantee assumes eta <= 1/beta. samples None resolves to the problem's
-    default probe count on the stochastic path.
+    eta None resolves to 1/beta; values above 1/beta are allowed but warn,
+    since every guarantee assumes eta <= 1/beta. samples None resolves to the
+    problem's default probe count on the stochastic path. dense_oracle puts
+    the SDPs on exact gradients; transport is always exact.
     """
 
-    beta: Optional[float] = None
     eta: Optional[float] = None
     iters: int = 100
     samples: Optional[int] = None
     gamma_target: Optional[float] = None
     seed: int = 0
-    record_objective: bool = False
     dense_oracle: bool = False
     tol_feasibility: Optional[float] = None
-    probe_tol: float = 1e-8
-    dense_limit: int = DENSE_LIMIT
 
     def __post_init__(self):
         for name in ("iters", "samples", "seed"):
             value = getattr(self, name)
-            if not (isinstance(value, (int, np.integer))
+            if isinstance(value, bool) or not (
+                    isinstance(value, (int, np.integer))
                     or (name == "samples" and value is None)):
                 raise ValueError(f"{name} must be a finite integer, got {value!r}")
+        if not isinstance(self.dense_oracle, bool):
+            raise ValueError(
+                f"dense_oracle must be true or false, got {self.dense_oracle!r}")
         if self.iters < 1:
             raise ValueError("need at least one iteration")
-        if self.eta is not None and not 0.0 < self.eta < math.inf:
+        if self.eta is not None and not (_finite(self.eta) and self.eta > 0.0):
             raise ValueError("eta must be positive and finite")
-        if self.beta is not None and not 0.0 < self.beta < math.inf:
-            raise ValueError("beta must be positive and finite")
         if self.samples is not None and self.samples < 1:
             raise ValueError("samples must be positive")
         for name in ("tol_feasibility", "gamma_target"):
-            if not 0.0 <= (getattr(self, name) or 0.0) < math.inf:
+            value = getattr(self, name)
+            if value is not None and not (_finite(value) and value >= 0.0):
                 raise ValueError(f"{name} must be finite and nonnegative")
-        if not 0.0 < self.probe_tol < 1.0:
-            raise ValueError("probe_tol must be finite and in (0, 1)")
-        if not self.dense_limit >= 1:
-            raise ValueError("dense_limit must be at least 1")
 
     def resolve(self, problem):
         """(beta, eta) for this run, warning when eta exceeds 1/beta."""
         beta = problem.beta
-        if self.beta is not None and not math.isclose(self.beta, beta,
-                                                      rel_tol=1e-12):
-            raise ValueError(
-                f"config beta {self.beta} disagrees with problem beta {beta}")
         eta = 1.0 / beta if self.eta is None else self.eta
         if eta > 1.0 / beta * (1.0 + 1e-12):
             warnings.warn("eta exceeds 1/beta; convergence guarantees do not apply",
@@ -99,10 +107,10 @@ class SolverConfig:
 class SolverTrace:
     """Dense per-iteration metrics plus the best-gradient iterate.
 
-    dual_objective rows are NaN when the objective was not recorded (always
-    the case on the stochastic path). best_iteration minimizes the recorded
-    gradient dual norm, which on stochastic runs is the computable proxy for
-    the exact argmin selection rule.
+    dual_objective is the negated dual objective of each exact evaluation
+    (transport and the dense oracle) and NaN on the stochastic path.
+    best_iteration minimizes the recorded gradient dual norm, which on
+    stochastic runs is the computable proxy for the exact argmin selection rule.
     """
 
     iterations: np.ndarray
@@ -118,8 +126,8 @@ class SolverTrace:
     final_dual: object
     stopped_early: bool
     config: SolverConfig
-    problem_info: dict = field(default_factory=dict)
-    eta: float = 0.0
+    problem_info: dict
+    eta: float
 
     def __len__(self) -> int:
         return len(self.iterations)
@@ -133,23 +141,25 @@ class SolverTrace:
     def write_columns(path, iterations, feasibility, grad_dual_norm,
                       dual_objective, step_norm, wall_ms) -> None:
         """Write trace columns as trace.csv rows; a NaN objective is left blank."""
+        # Python floats format faster than numpy scalars; CRLF as in csv.writer
+        columns = [np.asarray(c).tolist() for c in (
+            iterations, feasibility, grad_dual_norm, dual_objective, step_norm,
+            wall_ms)]
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CSV_HEADER)
-            for it, feas, gnorm, obj, stepn, wall in zip(
-                    iterations, feasibility, grad_dual_norm, dual_objective,
-                    step_norm, wall_ms):
-                writer.writerow([int(it), f"{feas:.12e}", f"{gnorm:.12e}",
-                                 "" if np.isnan(obj) else f"{obj:.12e}",
-                                 f"{stepn:.12e}", f"{wall:.3f}"])
+            fh.write(",".join(CSV_HEADER) + "\r\n")
+            for it, feas, gnorm, obj, stepn, wall in zip(*columns):
+                obj = "" if math.isnan(obj) else f"{obj:.12e}"
+                fh.write(f"{int(it)},{feas:.12e},{gnorm:.12e},{obj},"
+                         f"{stepn:.12e},{wall:.3f}\r\n")
 
     @classmethod
     def read(cls, csv_path, meta_path) -> "SolverTrace":
         """Reload a trace from write_csv and write_metadata output.
 
-        Duals are not stored, so best_dual and final_dual are None. A missing
-        or malformed field raises ValueError naming the file it came from; so
-        does a cell that is not a number, a non-integer iter and a blank or
+        Duals are not stored, so best_dual and final_dual are None. Config
+        keys of retired SolverConfig fields are dropped. A missing, unknown or
+        mistyped field raises ValueError naming the file it came from; so does
+        a cell that is not a number, a non-integer iter and a blank or
         non-finite cell outside dual_obj, with its data row and column.
         """
         with open(csv_path, newline="") as fh:
@@ -172,17 +182,21 @@ class SolverTrace:
                 cols[j, i - 1] = x
         try:
             meta = json.loads(Path(meta_path).read_text())
-            fields = {k: meta[k] for k in ("best_iteration", "best_grad_dual_norm",
-                                           "trajectory_diameter_hat",
-                                           "stopped_early", "eta")}
-            config = SolverConfig(**meta["config"])
+            fields = {}
+            for name, (want, valid) in _META_FIELDS.items():
+                if not valid(meta[name]):
+                    raise ValueError(f"{name} is {meta[name]!r}, not {want}")
+                fields[name] = meta[name]
+            config = SolverConfig(**{k: v for k, v in meta["config"].items()
+                                     if k not in _RETIRED_CONFIG})
+            problem_info = meta["problem"]
         except KeyError as err:
             raise ValueError(f"{meta_path}: missing field {err}") from None
-        except (TypeError, ValueError) as err:
+        except (AttributeError, TypeError, ValueError) as err:
             raise ValueError(f"{meta_path}: {err}") from None
         return cls(cols[0].astype(int), *cols[1:], best_dual=None,
-                   final_dual=None, config=config,
-                   problem_info=meta.get("problem", {}), **fields)
+                   final_dual=None, config=config, problem_info=problem_info,
+                   **fields)
 
     def metadata(self) -> dict:
         return {
@@ -217,7 +231,7 @@ def _git_describe() -> str:
         return "unknown"
 
 
-def _probe_batch(op, beta: float, z: np.ndarray, config: SolverConfig):
+def _probe_batch(op, beta: float, z: np.ndarray, seed: int):
     """Probe images of exp(-(beta/2) op) on a tight interval, checked.
 
     The exponent is shifted by the interval's lower end, so when that end is
@@ -228,13 +242,13 @@ def _probe_batch(op, beta: float, z: np.ndarray, config: SolverConfig):
     row sum; a batch that still exceeds it raises.
     """
     ceiling = z.size * (1.0 + 1e-6)
-    interval = spectral_bounds(op, seed=config.seed)
+    interval = spectral_bounds(op, seed=seed)
     if interval.certified:
-        batch = probe_gibbs(op, beta, interval, z, tol=config.probe_tol)
+        batch = probe_gibbs(op, beta, interval, z)
         if batch.mass <= ceiling:
             return batch
     r = op.inf_norm_bound()
-    batch = probe_gibbs(op, beta, SpectralInterval(-r, r), z, tol=config.probe_tol)
+    batch = probe_gibbs(op, beta, SpectralInterval(-r, r), z)
     if not batch.mass <= ceiling:
         raise FloatingPointError(f"probe mass {batch.mass:.6g} exceeds n S = "
                                  f"{z.size} on the Gershgorin interval")
@@ -259,12 +273,11 @@ def solve(problem, config: SolverConfig,
     if not exact:
         samples = config.samples or problem.default_sample_count()
 
-    n_rows = config.iters
-    feas = np.empty(n_rows)
-    gnorm = np.empty(n_rows)
-    obj = np.full(n_rows, np.nan)
-    stepn = np.empty(n_rows)
-    wall = np.empty(n_rows)
+    feas = np.empty(config.iters)
+    gnorm = np.empty(config.iters)
+    obj = np.full(config.iters, np.nan)
+    stepn = np.empty(config.iters)
+    wall = np.empty(config.iters)
 
     best_t, best_lam, best_g = -1, None, np.inf
     diameter = 0.0
@@ -275,13 +288,11 @@ def solve(problem, config: SolverConfig,
         tic = time.perf_counter()
         try:
             if exact:
-                grad, fval = problem.dense_eval(lam, config.dense_limit)
-                if config.record_objective:
-                    obj[t] = fval
+                grad, obj[t] = problem.dense_eval(lam)
             else:
                 z = draw_probes(problem.dimension, samples, config.seed, t)
                 batch = _probe_batch(problem.shifted_operator(lam), beta, z,
-                                     config)
+                                     config.seed)
                 grad = problem.stochastic_gradient(batch)
             feas[t] = problem.feasibility_error(grad)
             gnorm[t] = dual_norm(family, grad)
@@ -304,14 +315,13 @@ def solve(problem, config: SolverConfig,
             stopped = True
             break
 
-    sl = slice(0, rows)
     return SolverTrace(
         iterations=np.arange(rows),
-        feasibility=feas[sl].copy(),
-        grad_dual_norm=gnorm[sl].copy(),
-        dual_objective=obj[sl].copy(),
-        step_norm=stepn[sl].copy(),
-        wall_ms=wall[sl].copy(),
+        feasibility=feas[:rows].copy(),
+        grad_dual_norm=gnorm[:rows].copy(),
+        dual_objective=obj[:rows].copy(),
+        step_norm=stepn[:rows].copy(),
+        wall_ms=wall[:rows].copy(),
         best_iteration=best_t,
         best_dual=best_lam,
         best_grad_dual_norm=best_g,
@@ -353,7 +363,7 @@ def certify_gradient_decay(trace: SolverTrace, problem,
     if len(trace) == 0 or not np.all(np.isfinite(trace.grad_dual_norm)):
         raise ValueError("trace has no usable gradient records")
     beta = problem.beta
-    eta = trace.eta if trace.eta > 0.0 else 1.0 / beta
+    eta = trace.eta
     exact_run = trace.config.dense_oracle or isinstance(problem, OTProblem)
     if gamma is None:
         if exact_run:

@@ -58,8 +58,8 @@ def ot_runs():
             box.append((lam[0].copy(), lam[1].copy()))
 
         t0 = time.perf_counter()
-        trace = solve(p, SolverConfig(iters=20000, record_objective=True,
-                                      tol_feasibility=1e-11, seed=i),
+        trace = solve(p, SolverConfig(iters=20000, tol_feasibility=1e-11,
+                                      seed=i),
                       callback=watch)
         wall = time.perf_counter() - t0
         iterates.append(trace.final_dual)
@@ -147,7 +147,6 @@ def test_c5_entropic_sandwich():
         for beta in (5.0, 20.0):
             p = MaxCutProblem(base.cost, base.b, beta)
             t = solve(p, SolverConfig(iters=60000, dense_oracle=True,
-                                      record_objective=True,
                                       tol_feasibility=1e-12))
             e = t.dual_objective[-1]
             lo = p_hat - 1e-6
@@ -374,8 +373,8 @@ def test_c10_dimension_independence(tmp_path):
         samples = math.ceil(25 * math.log(n))
         spec = ExperimentSpec(
             kind="maxcut", params={"n": n, "beta": 10.0},
-            config=SolverConfig(beta=10.0, eta=0.1, iters=200,
-                                samples=samples, seed=0),
+            config=SolverConfig(eta=0.1, iters=200, samples=samples,
+                                seed=0),
             out_dir=str(tmp_path / f"n{n}"), replicates=5,
             name=f"mc{n}")
         summary = run_experiment(spec)

@@ -2,6 +2,7 @@
 
 import csv
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from entrodual.cli import load_problem, main, write_problem
 from entrodual.datasets import gen_er_maxcut, gen_permsynch, PermSynchModel
 from entrodual.problems import (MaxCutProblem, OTProblem,
                                 StrongPermSyncProblem, WeakPermSyncProblem)
+from entrodual.solver import SolverConfig, SolverTrace, certify_gradient_decay
 
 
 def run(argv):
@@ -155,6 +157,24 @@ class TestSolveCommand:
         assert meta["config"]["samples"] == 16
         assert meta["config"]["seed"] == 3
 
+    def test_every_config_field_has_a_flag(self, tmp_path):
+        d = tmp_path / "mc"
+        run(["gen", "maxcut", "--n", 8, "--beta", 4, "--out", d])
+        out = tmp_path / "run"
+        want = {"eta": 0.125, "iters": 7, "samples": 16, "gamma_target": 0.5,
+                "seed": 3, "dense_oracle": True, "tol_feasibility": 1e-9}
+        assert set(want) == {f.name for f in fields(SolverConfig)}
+        assert all(want[f.name] != f.default for f in fields(SolverConfig))
+        code = run(["solve", "maxcut", "--problem", d, "--beta", 5,
+                    "--eta", 0.125, "--iters", 7, "--samples", 16,
+                    "--gamma-target", 0.5, "--seed", 3, "--dense-oracle",
+                    "--tol", 1e-9, "--save-primal", "--out", out])
+        assert code == 0
+        meta = json.loads((out / "trace.json").read_text())
+        assert meta["config"] == want
+        assert meta["problem"]["beta"] == 5.0
+        assert (out / "primal.mtx").exists()
+
 
 class TestRoundCommand:
     def test_round_ot_feasible_plan(self, tmp_path):
@@ -265,16 +285,46 @@ class TestCertifyCommand:
         assert code in (0, 1)
         assert "sdp-gradient-decay" in capsys.readouterr().out
 
+    def test_trace_json_with_retired_config_keys_certifies_the_same(
+            self, tmp_path, capsys):
+        # older writers stored four more config fields, beta among them
+        d, out = self.make_run(tmp_path, extra=("--beta", 4))
+        trace_csv, trace_json = out / "trace.csv", out / "trace.json"
+
+        def certify():
+            report = certify_gradient_decay(SolverTrace.read(trace_csv, trace_json),
+                                            load_problem(d))
+            capsys.readouterr()
+            assert run(["certify", "--problem", d, "--trace", trace_csv]) == 0
+            return report, capsys.readouterr().out
+
+        before = certify()
+        meta = json.loads(trace_json.read_text())
+        meta["config"].update(beta=4.0, record_objective=False, probe_tol=1e-8,
+                              dense_limit=2048)
+        trace_json.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+        assert certify() == before
+
     def test_missing_problem_dir(self, tmp_path, capsys):
         code = run(["certify", "--problem", tmp_path / "nope",
                     "--trace", tmp_path / "t.csv"])
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    # trace.json edits: (config or top level, key, value)
+    MISTYPED = {"string-dense-oracle": ("config", "dense_oracle", "false"),
+                "bool-iters": ("config", "iters", True),
+                "bool-gamma-target": ("config", "gamma_target", True),
+                "string-eta": (None, "eta", "0.5"),
+                "string-best-iteration": (None, "best_iteration", "x"),
+                "string-stopped-early": (None, "stopped_early", "no"),
+                "nan-best-grad-norm": (None, "best_grad_dual_norm", float("nan")),
+                "inf-diameter": (None, "trajectory_diameter_hat", float("inf"))}
+
     @pytest.mark.parametrize("case", ["no-best-iteration", "unknown-config-field",
                                       "short-csv-rows", "blank-iter-cell",
                                       "blank-grad-cell", "fractional-iter-cell",
-                                      "nan-feas-cell", "no-kind"])
+                                      "nan-feas-cell", "no-kind", *MISTYPED])
     def test_malformed_input_exits_two_naming_the_file(self, tmp_path, capsys,
                                                         case):
         # each input once ended in a raw traceback with exit 1, which certify
@@ -290,6 +340,13 @@ class TestCertifyCommand:
             meta["config"]["bogus"] = 1
             trace_json.write_text(json.dumps(meta))
             want = ("trace.json", "bogus")
+        elif case in self.MISTYPED:
+            # a string dense_oracle once made certify treat a stochastic run
+            # as exact and pass it, and a string eta once raised TypeError
+            section, key, value = self.MISTYPED[case]
+            (meta[section] if section else meta)[key] = value
+            trace_json.write_text(json.dumps(meta))
+            want = ("trace.json", key)
         elif case == "short-csv-rows":
             lines = trace_csv.read_text().splitlines()
             trace_csv.write_text("\n".join(line.rsplit(",", 2)[0]

@@ -7,6 +7,7 @@ import struct
 import numpy as np
 import pytest
 
+from entrodual import experiments
 from entrodual.experiments import (ExperimentSpec, _write_averaged_csv,
                                    build_problem, run_experiment)
 from entrodual.problems import (MaxCutProblem, OTProblem,
@@ -23,6 +24,17 @@ def read_csv(path):
 
 def floats(rows, col):
     return np.array([float(r[col]) for r in rows])
+
+
+def failing_solve(monkeypatch, fails):
+    """Make run_experiment's solves fail at iteration 0 where fails(config)."""
+    def boom(t, lam, grad):
+        raise ArithmeticError("injected")
+
+    def patched(problem, config):
+        return solve(problem, config, callback=boom if fails(config) else None)
+
+    monkeypatch.setattr(experiments, "solve", patched)
 
 
 class TestBuildProblem:
@@ -110,18 +122,10 @@ class TestRunExperiment:
             # identical except wall-clock column
             assert [row[:5] for row in ra] == [row[:5] for row in rb]
 
-    def test_failed_replicate_recorded_and_skipped(self, tmp_path):
-        def factory(r):
-            if r != 1:
-                return None
-
-            def boom(t, lam, grad):
-                raise ArithmeticError("injected")
-
-            return boom
-
-        summary = run_experiment(self.spec(tmp_path, replicates=3,
-                                           callback_factory=factory))
+    def test_failed_replicate_recorded_and_skipped(self, tmp_path, monkeypatch):
+        # replicate 1 runs with seed 5 + 1
+        failing_solve(monkeypatch, lambda config: config.seed == 6)
+        summary = run_experiment(self.spec(tmp_path, replicates=3))
         statuses = [r["status"] for r in summary["replicates"]]
         assert statuses == ["ok", "failed", "ok"]
         assert summary["succeeded"] == 2
@@ -130,15 +134,9 @@ class TestRunExperiment:
         assert not (tmp_path / "ot3_rep1.csv").exists()
         assert (tmp_path / "ot3_avg.csv").exists()
 
-    def test_all_failed_writes_no_average(self, tmp_path):
-        def factory(r):
-            def boom(t, lam, grad):
-                raise ArithmeticError("injected")
-
-            return boom
-
-        summary = run_experiment(self.spec(tmp_path, replicates=2,
-                                           callback_factory=factory))
+    def test_all_failed_writes_no_average(self, tmp_path, monkeypatch):
+        failing_solve(monkeypatch, lambda config: True)
+        summary = run_experiment(self.spec(tmp_path, replicates=2))
         assert summary["succeeded"] == 0
         assert "averaged_csv" not in summary
         assert not (tmp_path / "ot3_avg.csv").exists()
@@ -170,8 +168,8 @@ class TestDimensionIndependence:
             samples = int(np.ceil(25 * np.log(n)))
             spec = ExperimentSpec(
                 kind="maxcut", params={"n": n, "beta": 10.0},
-                config=SolverConfig(beta=10.0, eta=0.1, iters=100,
-                                    samples=samples, seed=11),
+                config=SolverConfig(eta=0.1, iters=100, samples=samples,
+                                    seed=11),
                 out_dir=str(tmp_path / str(n)), replicates=2,
                 name=f"mc{n}")
             summary = run_experiment(spec)

@@ -1,3 +1,7 @@
+import json
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -6,6 +10,7 @@ from scipy.optimize import minimize
 from entrodual import (SolverConfig, SymOperator, certify_gradient_decay,
                        dense_gibbs, gen_er_maxcut, solve, spectral_bounds)
 from entrodual.norms import dual_norm, primal_norm
+from entrodual.operators import DENSE_LIMIT
 from entrodual.probes import draw_probes, probe_gibbs
 from entrodual.problems import (
     MaxCutProblem,
@@ -13,6 +18,7 @@ from entrodual.problems import (
     StrongPermSyncProblem,
     WeakPermSyncProblem,
 )
+from entrodual.solver import SolverTrace
 
 
 def random_maxcut(rng, n, beta=2.0, uniform_b=True):
@@ -234,9 +240,10 @@ class TestSDPExactGradient:
             np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
 
     def test_dense_limit_error(self):
-        p = MaxCutProblem(SymOperator.zeros(8), np.full(8, 0.125), 1.0)
+        n = DENSE_LIMIT + 1
+        p = MaxCutProblem(SymOperator.zeros(n), np.full(n, 1.0 / n), 1.0)
         with pytest.raises(ValueError, match="probe"):
-            p.dense_eval(p.initial_dual(), limit=4)
+            p.dense_eval(p.initial_dual())
 
     def test_objective_matches_expm_oracle(self):
         rng = np.random.default_rng(7)
@@ -461,29 +468,36 @@ NAN, INF = float("nan"), float("inf")
     lambda: WeakPermSyncProblem(SymOperator.zeros(4), 2, 2, INF),
     lambda: SolverConfig(eta=INF),
     lambda: SolverConfig(eta=NAN),
-    lambda: SolverConfig(beta=NAN),
     lambda: dense_gibbs(SymOperator.zeros(2), NAN),
     lambda: SolverConfig(tol_feasibility=NAN),
     lambda: SolverConfig(tol_feasibility=-1e-3),
     lambda: SolverConfig(gamma_target=NAN),
     lambda: SolverConfig(gamma_target=-5.0),
-    lambda: SolverConfig(probe_tol=NAN),
-    lambda: SolverConfig(probe_tol=0.0),
-    lambda: SolverConfig(probe_tol=1.0),
     lambda: _certify_toy(NAN),
     lambda: _certify_toy(-0.5),
     lambda: SolverConfig(iters=2.5),
     lambda: SolverConfig(iters=NAN),
     lambda: SolverConfig(samples=2.5),
     lambda: SolverConfig(seed=1.5),
+    lambda: SolverConfig(iters=True),
+    lambda: SolverConfig(samples=True),
+    lambda: SolverConfig(seed=False),
+    lambda: SolverConfig(gamma_target=True),
+    lambda: SolverConfig(eta="0.5"),
+    lambda: _read_toy(eta="0.5"),
+    lambda: _read_toy(eta=0.0),
+    lambda: _read_toy(best_grad_dual_norm=NAN),
+    lambda: _read_toy(trajectory_diameter_hat=INF),
 ], ids=["er-maxcut-beta-nan", "maxcut-beta-inf", "ot-beta-nan", "ot-mu-nan",
         "ot-cost-nan", "ot-cost-inf", "ps-strong-beta-nan", "ps-weak-beta-inf",
-        "config-eta-inf", "config-eta-nan", "config-beta-nan", "dense-gibbs-beta-nan",
+        "config-eta-inf", "config-eta-nan", "dense-gibbs-beta-nan",
         "config-tol-nan", "config-tol-negative", "config-gamma-nan",
-        "config-gamma-negative", "config-probe-tol-nan", "config-probe-tol-zero",
-        "config-probe-tol-one", "certify-gamma-nan", "certify-gamma-negative",
+        "config-gamma-negative", "certify-gamma-nan", "certify-gamma-negative",
         "config-iters-fraction", "config-iters-nan", "config-samples-fraction",
-        "config-seed-fraction"])
+        "config-seed-fraction", "config-iters-bool", "config-samples-bool",
+        "config-seed-bool", "config-gamma-bool", "config-eta-string",
+        "read-eta-string", "read-eta-zero",
+        "read-grad-norm-nan", "read-diameter-inf"])
 def test_non_finite_input_rejected(build):
     with pytest.raises(ValueError, match="finite"):
         build()
@@ -495,7 +509,12 @@ def _certify_toy(gamma):
     return certify_gradient_decay(trace, p, gamma=gamma)
 
 
-@pytest.mark.parametrize("limit", [0, -3])
-def test_dense_limit_below_one_rejected(limit):
-    with pytest.raises(ValueError, match="dense_limit"):
-        SolverConfig(dense_limit=limit)
+def _read_toy(**fields):
+    """Read back a written trace whose trace.json scalars are overridden."""
+    trace = solve(gen_er_maxcut(8, seed=0, beta=2.0),
+                  SolverConfig(iters=3, dense_oracle=True))
+    with tempfile.TemporaryDirectory() as d:
+        csv_path, meta_path = Path(d, "trace.csv"), Path(d, "trace.json")
+        trace.write_csv(csv_path)
+        meta_path.write_text(json.dumps({**trace.metadata(), **fields}))
+        return SolverTrace.read(csv_path, meta_path)
