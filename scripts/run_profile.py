@@ -6,9 +6,10 @@ feasibility curves should coincide across sizes (dimension independence).
 ot: exact solves on entropic transport with the dual objective recorded, on
 a bright square over dim noise or, with --images, a pooled pair from an IDX
 image file (0.01 added per pixel).
-permsynch: both synchronization relaxations at beta = 10 log(N)/N with
-S = ceil(8 K log N) probes; strong pins every diagonal block (registry
-ceil(N/2)), weak only the diagonal and the block mass (registry K).
+permsynch: both synchronization relaxations of N images with K keypoints
+each at beta = 10 log(n)/n with S = ceil(8 K log n) probes, n = N K; strong
+pins every diagonal block (registry max(K, ceil(N/2))), weak only the
+diagonal and the block mass (registry K).
 
 Each run writes per-replicate traces, an averaged curve and a JSON summary.
 """

@@ -17,7 +17,7 @@ import numpy as np
 
 from entrodual.datasets import (PermSynchModel, gen_er_maxcut, gen_permsynch,
                                 gen_synthetic_ot, load_mnist_pair)
-from entrodual.solver import SolverConfig, SolverTrace, solve
+from entrodual.solver import TRACE_COLUMNS, SolverConfig, solve
 
 __all__ = ["ExperimentSpec", "run_experiment", "build_problem"]
 
@@ -60,10 +60,9 @@ class ExperimentSpec:
 
 def _write_averaged_csv(path, traces):
     rows = min(len(t) for t in traces)
-    means = [np.mean([getattr(t, name)[:rows] for t in traces], axis=0)
-             for name in ("feasibility", "grad_dual_norm", "dual_objective",
-                          "step_norm", "wall_ms")]
-    SolverTrace.write_columns(path, range(rows), *means)
+    means = {field: np.mean([getattr(t, field)[:rows] for t in traces], axis=0)
+             for _, field, _, _ in TRACE_COLUMNS}
+    replace(traces[0], **means).write_csv(path)  # the mean curve as trace columns
     return rows
 
 

@@ -7,7 +7,9 @@ fresh batch per iteration. On the probe path every iteration encloses the
 spectrum of its shifted cost with a short Lanczos run, so the probe images
 stay O(||z||) at any beta. An uncertified interval, or a batch whose images
 grew (which a lower end at or below the smallest eigenvalue rules out), is
-redone on the Gershgorin interval.
+redone on the Gershgorin interval; a batch whose images shrank below the
+Chebyshev error raises. TRACE_COLUMNS is the one trace.csv schema: the
+writer, the reader, solve() and the averaged experiment curves walk it.
 """
 
 from __future__ import annotations
@@ -33,7 +35,17 @@ from entrodual.problems import OTProblem
 __all__ = ["SolverConfig", "SolverTrace", "CertificateReport", "solve",
            "certify_gradient_decay"]
 
-CSV_HEADER = ["iter", "feas_err", "grad_dnorm", "dual_obj", "step_norm", "wall_ms"]
+# trace.csv: (column, SolverTrace field, cell format, NaN left blank); "d" is iter
+TRACE_COLUMNS = (("iter", "iterations", "d", False),
+                 ("feas_err", "feasibility", ".12e", False),
+                 ("grad_dnorm", "grad_dual_norm", ".12e", False),
+                 ("dual_obj", "dual_objective", ".12e", True),
+                 ("step_norm", "step_norm", ".12e", False),
+                 ("wall_ms", "wall_ms", ".3f", False))
+CSV_HEADER = [name for name, *_ in TRACE_COLUMNS]
+# one trace.csv row; a blank column's cells arrive pre-rendered
+_CSV_ROW = ",".join(f"{{{j}}}" if blank else f"{{{j}:{fmt}}}" for j, (_, _, fmt, blank)
+                    in enumerate(TRACE_COLUMNS)) + "\r\n"
 # SolverConfig fields that older trace.json files still carry; read() drops them
 _RETIRED_CONFIG = ("beta", "record_objective", "probe_tol", "dense_limit")
 
@@ -44,13 +56,12 @@ def _finite(value) -> bool:
             and not isinstance(value, bool) and math.isfinite(value))
 
 
-# the trace.json scalars read() keeps, each with what its value must be
+# the trace.json scalars of a SolverTrace: what each must be, its check, its type
 _META_FIELDS = {
-    "best_iteration": ("an integer", lambda v: type(v) is int),
-    "stopped_early": ("true or false", lambda v: type(v) is bool),
-    "eta": ("a positive finite number", lambda v: _finite(v) and v > 0.0),
-    "best_grad_dual_norm": ("a finite number", _finite),
-    "trajectory_diameter_hat": ("a finite number", _finite),
+    "best_iteration": ("an integer", lambda v: type(v) is int, int),
+    "stopped_early": ("true or false", lambda v: type(v) is bool, bool),
+    "eta": ("a positive finite number", lambda v: _finite(v) and v > 0.0, float),
+    "best_grad_dual_norm": ("a finite number", _finite, float),
 }
 
 
@@ -122,7 +133,6 @@ class SolverTrace:
     best_iteration: int
     best_dual: object
     best_grad_dual_norm: float
-    trajectory_diameter_hat: float
     final_dual: object
     stopped_early: bool
     config: SolverConfig
@@ -133,24 +143,17 @@ class SolverTrace:
         return len(self.iterations)
 
     def write_csv(self, path) -> None:
-        self.write_columns(path, self.iterations, self.feasibility,
-                           self.grad_dual_norm, self.dual_objective,
-                           self.step_norm, self.wall_ms)
-
-    @staticmethod
-    def write_columns(path, iterations, feasibility, grad_dual_norm,
-                      dual_objective, step_norm, wall_ms) -> None:
-        """Write trace columns as trace.csv rows; a NaN objective is left blank."""
-        # Python floats format faster than numpy scalars; CRLF as in csv.writer
-        columns = [np.asarray(c).tolist() for c in (
-            iterations, feasibility, grad_dual_norm, dual_objective, step_norm,
-            wall_ms)]
+        """Write the TRACE_COLUMNS fields as trace.csv rows."""
+        # Python numbers format faster than numpy scalars; CRLF as in csv.writer
+        cells = []
+        for _, field, fmt, blank in TRACE_COLUMNS:
+            values = np.asarray(getattr(self, field),
+                                dtype=int if fmt == "d" else float).tolist()
+            cells.append(["" if math.isnan(x) else format(x, fmt) for x in values]
+                         if blank else values)
         with open(path, "w", newline="") as fh:
             fh.write(",".join(CSV_HEADER) + "\r\n")
-            for it, feas, gnorm, obj, stepn, wall in zip(*columns):
-                obj = "" if math.isnan(obj) else f"{obj:.12e}"
-                fh.write(f"{int(it)},{feas:.12e},{gnorm:.12e},{obj},"
-                         f"{stepn:.12e},{wall:.3f}\r\n")
+            fh.writelines(map(_CSV_ROW.format, *cells))
 
     @classmethod
     def read(cls, csv_path, meta_path) -> "SolverTrace":
@@ -158,9 +161,11 @@ class SolverTrace:
 
         Duals are not stored, so best_dual and final_dual are None. Config
         keys of retired SolverConfig fields are dropped. A missing, unknown or
-        mistyped field raises ValueError naming the file it came from; so does
-        a cell that is not a number, a non-integer iter and a blank or
-        non-finite cell outside dual_obj, with its data row and column.
+        mistyped field raises ValueError naming the file it came from. So does
+        a cell that is not a number, a blank or non-finite cell outside
+        dual_obj or an iter other than its row index, with its data row and
+        column, and a pair of files that do not belong together: a row count
+        other than iterations_run, or a best_iteration outside the rows.
         """
         with open(csv_path, newline="") as fh:
             rows = list(csv.reader(fh))[1:]
@@ -169,24 +174,31 @@ class SolverTrace:
                              f"{len(CSV_HEADER)} columns ({', '.join(CSV_HEADER)})")
         cols = np.empty((len(CSV_HEADER), len(rows)))
         for i, row in enumerate(rows, start=1):
-            for j, (name, text) in enumerate(zip(CSV_HEADER, row)):
+            for j, ((name, _, fmt, blank), text) in enumerate(zip(TRACE_COLUMNS, row)):
                 try:
-                    x = float(text) if text or name != "dual_obj" else math.nan
+                    x = float(text) if text or not blank else math.nan
                 except ValueError:
                     x = None
-                if (x is None or name != "dual_obj" and not math.isfinite(x)
-                        or name == "iter" and not x.is_integer()):
-                    want = {"iter": "an integer", "dual_obj": "a number or blank"}
-                    raise ValueError(f"{csv_path}: data row {i}, column {name}: {text!r} "
-                                     f"is not {want.get(name, 'a finite number')}")
+                if (x is None or not blank and not math.isfinite(x)
+                        or fmt == "d" and x != i - 1):
+                    want = (f"iteration {i - 1}" if fmt == "d" else
+                            "a number or blank" if blank else "a finite number")
+                    raise ValueError(f"{csv_path}: data row {i}, column {name}: "
+                                     f"{text!r} is not {want}")
                 cols[j, i - 1] = x
+        columns = {field: col.astype(int) if fmt == "d" else col
+                   for (_, field, fmt, _), col in zip(TRACE_COLUMNS, cols)}
         try:
             meta = json.loads(Path(meta_path).read_text())
             fields = {}
-            for name, (want, valid) in _META_FIELDS.items():
+            for name, (want, valid, _) in _META_FIELDS.items():
                 if not valid(meta[name]):
                     raise ValueError(f"{name} is {meta[name]!r}, not {want}")
                 fields[name] = meta[name]
+            if not meta["iterations_run"] == len(rows) > fields["best_iteration"] >= 0:
+                raise ValueError(f"iterations_run {meta['iterations_run']!r} or best_iteration "
+                                 f"{fields['best_iteration']} does not fit the {len(rows)} "
+                                 f"data rows of {csv_path}")
             config = SolverConfig(**{k: v for k, v in meta["config"].items()
                                      if k not in _RETIRED_CONFIG})
             problem_info = meta["problem"]
@@ -194,9 +206,8 @@ class SolverTrace:
             raise ValueError(f"{meta_path}: missing field {err}") from None
         except (AttributeError, TypeError, ValueError) as err:
             raise ValueError(f"{meta_path}: {err}") from None
-        return cls(cols[0].astype(int), *cols[1:], best_dual=None,
-                   final_dual=None, config=config, problem_info=problem_info,
-                   **fields)
+        return cls(**columns, best_dual=None, final_dual=None, config=config,
+                   problem_info=problem_info, **fields)
 
     def metadata(self) -> dict:
         return {
@@ -204,12 +215,9 @@ class SolverTrace:
             "config": asdict(self.config),
             "problem": self.problem_info,
             "seed": self.config.seed,
-            "eta": self.eta,
             "iterations_run": len(self),
-            "stopped_early": self.stopped_early,
-            "best_iteration": int(self.best_iteration),
-            "best_grad_dual_norm": float(self.best_grad_dual_norm),
-            "trajectory_diameter_hat": float(self.trajectory_diameter_hat),
+            **{name: cast(getattr(self, name))
+               for name, (_, _, cast) in _META_FIELDS.items()},
             "build": _git_describe(),
         }
 
@@ -239,19 +247,24 @@ def _probe_batch(op, beta: float, z: np.ndarray, seed: int):
     probe and the mass is at most ||z||^2, which is n S for Rademacher
     probes. An uncertified Lanczos interval, or a batch above that ceiling,
     is redone on the Gershgorin interval [-R, R] with R the largest absolute
-    row sum; a batch that still exceeds it raises.
+    row sum; a batch that still exceeds it raises. So does a batch whose mass
+    is below 1e-14 n S: the Chebyshev series is truncated at 1e-11 per unit of
+    probe length, which there exceeds sqrt(1e-8) of the images. A wider
+    interval would only shrink them further, so that batch is not redone.
     """
-    ceiling = z.size * (1.0 + 1e-6)
+    ceiling, floor = z.size * (1.0 + 1e-6), z.size * 1e-14
     interval = spectral_bounds(op, seed=seed)
-    if interval.certified:
-        batch = probe_gibbs(op, beta, interval, z)
-        if batch.mass <= ceiling:
-            return batch
-    r = op.inf_norm_bound()
-    batch = probe_gibbs(op, beta, SpectralInterval(-r, r), z)
-    if not batch.mass <= ceiling:
-        raise FloatingPointError(f"probe mass {batch.mass:.6g} exceeds n S = "
-                                 f"{z.size} on the Gershgorin interval")
+    batch = probe_gibbs(op, beta, interval, z) if interval.certified else None
+    if batch is None or not batch.mass <= ceiling:
+        r = op.inf_norm_bound()
+        batch = probe_gibbs(op, beta, SpectralInterval(-r, r), z)
+        if not batch.mass <= ceiling:
+            raise FloatingPointError(f"probe mass {batch.mass:.6g} exceeds n S = "
+                                     f"{z.size} on the Gershgorin interval")
+    if batch.mass < floor:
+        raise FloatingPointError(f"probe mass {batch.mass:.6g} is below 1e-14 n S = "
+                                 f"{floor:.6g}, where the Chebyshev error is "
+                                 "larger than sqrt(1e-8) of the images")
     return batch
 
 
@@ -273,14 +286,9 @@ def solve(problem, config: SolverConfig,
     if not exact:
         samples = config.samples or problem.default_sample_count()
 
-    feas = np.empty(config.iters)
-    gnorm = np.empty(config.iters)
-    obj = np.full(config.iters, np.nan)
-    stepn = np.empty(config.iters)
-    wall = np.empty(config.iters)
-
+    record = {field: np.full(config.iters, np.nan) for _, field, _, _ in TRACE_COLUMNS}
+    record["iterations"] = np.arange(config.iters)
     best_t, best_lam, best_g = -1, None, np.inf
-    diameter = 0.0
     stopped = False
     rows = 0
 
@@ -288,44 +296,36 @@ def solve(problem, config: SolverConfig,
         tic = time.perf_counter()
         try:
             if exact:
-                grad, obj[t] = problem.dense_eval(lam)
+                grad, record["dual_objective"][t] = problem.dense_eval(lam)
             else:
                 z = draw_probes(problem.dimension, samples, config.seed, t)
                 batch = _probe_batch(problem.shifted_operator(lam), beta, z,
                                      config.seed)
                 grad = problem.stochastic_gradient(batch)
-            feas[t] = problem.feasibility_error(grad)
-            gnorm[t] = dual_norm(family, grad)
-            if not (math.isfinite(feas[t]) and math.isfinite(gnorm[t])):
+            feas = record["feasibility"][t] = problem.feasibility_error(grad)
+            gnorm = record["grad_dual_norm"][t] = dual_norm(family, grad)
+            if not (math.isfinite(feas) and math.isfinite(gnorm)):
                 raise FloatingPointError("non-finite gradient")
-            if gnorm[t] < best_g:
-                best_t, best_lam, best_g = t, lam, float(gnorm[t])
-            diameter = max(diameter,
-                           primal_norm(family, family.diff(lam, best_lam)))
+            if gnorm < best_g:
+                best_t, best_lam, best_g = t, lam, float(gnorm)
             if callback is not None:
                 callback(t, lam, grad)
             new_lam = problem.update(lam, grad, eta)
-            stepn[t] = primal_norm(family, family.diff(new_lam, lam))
+            record["step_norm"][t] = primal_norm(family, family.diff(new_lam, lam))
             lam = new_lam
         except Exception as err:
             raise RuntimeError(f"solver failed at iteration {t}: {err}") from err
-        wall[t] = (time.perf_counter() - tic) * 1e3
+        record["wall_ms"][t] = (time.perf_counter() - tic) * 1e3
         rows = t + 1
-        if config.tol_feasibility is not None and feas[t] <= config.tol_feasibility:
+        if config.tol_feasibility is not None and feas <= config.tol_feasibility:
             stopped = True
             break
 
     return SolverTrace(
-        iterations=np.arange(rows),
-        feasibility=feas[:rows].copy(),
-        grad_dual_norm=gnorm[:rows].copy(),
-        dual_objective=obj[:rows].copy(),
-        step_norm=stepn[:rows].copy(),
-        wall_ms=wall[:rows].copy(),
+        **{field: column[:rows].copy() for field, column in record.items()},
         best_iteration=best_t,
         best_dual=best_lam,
         best_grad_dual_norm=best_g,
-        trajectory_diameter_hat=diameter,
         final_dual=lam,
         stopped_early=stopped,
         config=config,

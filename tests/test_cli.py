@@ -302,6 +302,7 @@ class TestCertifyCommand:
         meta = json.loads(trace_json.read_text())
         meta["config"].update(beta=4.0, record_objective=False, probe_tol=1e-8,
                               dense_limit=2048)
+        meta["trajectory_diameter_hat"] = 1.5  # a retired top-level field
         trace_json.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
         assert certify() == before
 
@@ -318,13 +319,14 @@ class TestCertifyCommand:
                 "string-eta": (None, "eta", "0.5"),
                 "string-best-iteration": (None, "best_iteration", "x"),
                 "string-stopped-early": (None, "stopped_early", "no"),
-                "nan-best-grad-norm": (None, "best_grad_dual_norm", float("nan")),
-                "inf-diameter": (None, "trajectory_diameter_hat", float("inf"))}
+                "nan-best-grad-norm": (None, "best_grad_dual_norm", float("nan"))}
 
     @pytest.mark.parametrize("case", ["no-best-iteration", "unknown-config-field",
                                       "short-csv-rows", "blank-iter-cell",
                                       "blank-grad-cell", "fractional-iter-cell",
-                                      "nan-feas-cell", "no-kind", *MISTYPED])
+                                      "nan-feas-cell", "truncated-csv",
+                                      "swapped-csv-rows", "best-iteration-past-rows",
+                                      "no-kind", *MISTYPED])
     def test_malformed_input_exits_two_naming_the_file(self, tmp_path, capsys,
                                                         case):
         # each input once ended in a raw traceback with exit 1, which certify
@@ -352,6 +354,22 @@ class TestCertifyCommand:
             trace_csv.write_text("\n".join(line.rsplit(",", 2)[0]
                                            for line in lines))
             want = ("trace.csv", "columns")
+        elif case == "truncated-csv":
+            # a 40-row trace cut to 5 rows once certified against the
+            # 5-row horizon
+            lines = trace_csv.read_text().splitlines()
+            trace_csv.write_text("\n".join(lines[:6]) + "\n")
+            want = ("trace.json", "trace.csv", "iterations_run")
+        elif case == "swapped-csv-rows":
+            # once read back as iterations [0, 2, 1, 3, ...]
+            lines = trace_csv.read_text().splitlines()
+            lines[2], lines[3] = lines[3], lines[2]
+            trace_csv.write_text("\n".join(lines) + "\n")
+            want = ("trace.csv", "row 2", "iter")
+        elif case == "best-iteration-past-rows":
+            meta["best_iteration"] = meta["iterations_run"]
+            trace_json.write_text(json.dumps(meta))
+            want = ("trace.json", "trace.csv", "best_iteration")
         elif case.endswith("-cell"):
             # a blank iter cell once read back as -2**63, "1.5" as 1, and a
             # blank grad_dnorm or a literal nan feas_err as NaN

@@ -487,7 +487,6 @@ NAN, INF = float("nan"), float("inf")
     lambda: _read_toy(eta="0.5"),
     lambda: _read_toy(eta=0.0),
     lambda: _read_toy(best_grad_dual_norm=NAN),
-    lambda: _read_toy(trajectory_diameter_hat=INF),
 ], ids=["er-maxcut-beta-nan", "maxcut-beta-inf", "ot-beta-nan", "ot-mu-nan",
         "ot-cost-nan", "ot-cost-inf", "ps-strong-beta-nan", "ps-weak-beta-inf",
         "config-eta-inf", "config-eta-nan", "dense-gibbs-beta-nan",
@@ -497,7 +496,7 @@ NAN, INF = float("nan"), float("inf")
         "config-seed-fraction", "config-iters-bool", "config-samples-bool",
         "config-seed-bool", "config-gamma-bool", "config-eta-string",
         "read-eta-string", "read-eta-zero",
-        "read-grad-norm-nan", "read-diameter-inf"])
+        "read-grad-norm-nan"])
 def test_non_finite_input_rejected(build):
     with pytest.raises(ValueError, match="finite"):
         build()

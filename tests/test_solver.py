@@ -158,7 +158,6 @@ class TestSolveBasics:
         for col in ("iterations", "feasibility", "grad_dual_norm", "step_norm"):
             assert np.array_equal(getattr(blind, col), getattr(rec, col)), col
         assert blind.best_iteration == rec.best_iteration
-        assert blind.trajectory_diameter_hat == rec.trajectory_diameter_hat
 
     def test_non_finite_gradient_raises_with_iteration_index(self):
         p = random_maxcut(6, beta=2.0, seed=5)
@@ -242,7 +241,6 @@ class TestStochasticPath:
         tr = solve(p, SolverConfig(iters=6, samples=32, seed=1))
         assert len(tr) == 6
         assert np.all(np.isfinite(tr.grad_dual_norm))
-        assert tr.trajectory_diameter_hat >= 0.0
 
 
 class TestProbeInterval:
@@ -312,6 +310,19 @@ class TestProbeInterval:
             r = np.einsum("ns,ns->n", w, w)
             noise = max(noise, abs(np.abs(r / r.sum() - p.b).sum() - exact))
         assert abs(tr.feasibility[tr.best_iteration] - exact) <= 2.0 * noise
+
+    @pytest.mark.parametrize("beta", [200.0, 400.0, 1000.0])
+    def test_probe_mass_below_the_chebyshev_floor_raises(self, beta):
+        # at zero dual the smallest mass / (n S) is 1.2e-13, 2.4e-24 and
+        # 5.1e-25, and the l1 feasibility error of the images against
+        # dense_eval 4.9e-4, 0.25 and 1.49
+        p = gen_er_maxcut(200, seed=0, beta=beta)
+        cfg = SolverConfig(iters=1, samples=400)
+        if beta < 400.0:
+            assert len(solve(p, cfg)) == 1
+            return
+        with pytest.raises(RuntimeError, match="iteration 0: .*probe mass"):
+            solve(p, cfg)
 
 
 class TestDescentInvariants:
@@ -467,21 +478,6 @@ class TestTraceBookkeeping:
             p.update(lam, grad, tr.eta)
             assert payload_equal(lam, before[0])
             assert payload_equal(grad, before[1])
-
-    def test_trajectory_diameter_matches_replay(self):
-        p = random_ot(5, 6, beta=6.0, seed=4)
-        fam = p.norm_family()
-        iterates = []
-        tr = solve(p, SolverConfig(iters=80),
-                   callback=lambda t, lam, g: iterates.append(
-                       tuple(np.array(x) for x in lam)))
-        best, best_lam, diam = np.inf, None, 0.0
-        for t, lam in enumerate(iterates):
-            if tr.grad_dual_norm[t] < best:
-                best, best_lam = tr.grad_dual_norm[t], lam
-            delta = tuple(a - b for a, b in zip(lam, best_lam))
-            diam = max(diam, primal_norm(fam, delta))
-        assert tr.trajectory_diameter_hat == pytest.approx(diam, abs=1e-14)
 
     def test_step_norm_measures_actual_move(self):
         p = random_maxcut(7, beta=3.0, seed=6)
