@@ -5,11 +5,16 @@ symmetric CSR matrix. Shifting the cost by a dual point is one folded() write
 of alpha (cost + diagonal + block diagonal) + shift I into a pattern cached per
 cost, and the result keeps its own pattern, so expm_action folds in the
 Chebyshev affine map with one more write and each term of the recurrence costs
-a single product."""
+a single product. A wide probe block runs through the recurrence in column
+blocks of about 2**17 entries (1 MiB) per array, shared out over one thread
+per usable core; each column is computed on its own, so the result equals a
+single-block evaluation bit for bit."""
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Optional
 
@@ -327,6 +332,52 @@ def _chebyshev_degree(half_width: float, tol: float) -> np.ndarray:
     return q[: min(d, kmax) + 1]
 
 
+def _clenshaw(double: SymOperator, q: np.ndarray, z: np.ndarray, b1: np.ndarray,
+              b2: np.ndarray) -> np.ndarray:
+    """Twice sum_k q_k T_k(double / 2) z by Clenshaw, returned in b1 or b2.
+
+    z, b1 and b2 share one C-contiguous shape; b1 and b2 are scratch. Every
+    step treats each column of z on its own.
+    """
+    flat = z.reshape(-1)
+    # b_k = q_k z + double b_{k+1} - b_{k+2}, written over b_{k+2}; the top
+    # term is b_K = q_K z since b_{K+1} = b_{K+2} = 0
+    np.multiply(z, q[-1], out=b1)
+    b2.fill(0.0)
+    for k in range(len(q) - 2, 0, -1):
+        np.negative(b2, out=b2)
+        daxpy(flat, b2.reshape(-1), a=q[k])
+        double.apply(b1, into=b2)
+        b1, b2 = b2, b1
+    # 2 y = 2 q_0 z + double b_1 - 2 b_2
+    b2 *= -2.0
+    daxpy(flat, b2.reshape(-1), a=2.0 * q[0])
+    return double.apply(b1, into=b2)
+
+
+def _clenshaw_lane(double: SymOperator, q: np.ndarray, factor: float, z: np.ndarray,
+                   out: np.ndarray, blocks, buffers) -> None:
+    """Write factor times _clenshaw of each column block of z taken from the
+    shared iterator blocks into those columns of out, using the three flat
+    buffers (z block, b1, b2) and allocating nothing of block size."""
+    n = z.shape[0]
+    for cols in blocks:
+        zb, b1, b2 = (buf[: n * (cols.stop - cols.start)].reshape(n, -1)
+                      for buf in buffers)
+        np.copyto(zb, z[:, cols])
+        np.multiply(_clenshaw(double, q, zb, b1, b2), factor, out=out[:, cols])
+
+
+# float64 entries per column-block array (1 MiB), so that z, b1 and b2 of a
+# block stay in a core's L2 cache through every term of the recurrence
+_BLOCK_ENTRIES = 2**17
+# one lane per usable core; the CSR kernel, numpy's ufuncs and BLAS release
+# the GIL, so the lanes run in parallel. Threads start on the first submit.
+_LANES = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+          else os.cpu_count() or 1)
+_POOL = ThreadPoolExecutor(max_workers=_LANES, thread_name_prefix="expm_action")
+
+
 def expm_action(op: SymOperator, interval: SpectralInterval, z: np.ndarray,
                 tol: float = 1e-10, *, scale: float = 1.0,
                 shift: float = 0.0) -> np.ndarray:
@@ -340,6 +391,14 @@ def expm_action(op: SymOperator, interval: SpectralInterval, z: np.ndarray,
     relative to the dominant spectral scale exp(top of the mapped interval);
     callers that need normalized output should choose shift so the top is
     near zero (the shift factors out).
+
+    A 2-d z wider than ceil(_BLOCK_ENTRIES / n) columns (about 2**17
+    entries, 1 MiB, per array) runs the whole recurrence one such column
+    block at a time, so a block's arrays stay in a core's cache, and the
+    blocks are shared out over one thread per usable core. Narrower input
+    runs as one block in the calling thread. Each column is computed on its
+    own, so every column of the result equals, bit for bit, that column
+    evaluated alone.
     """
     if not 0.0 < tol < 1.0:
         raise ValueError("tol must lie in (0, 1)")
@@ -353,22 +412,27 @@ def expm_action(op: SymOperator, interval: SpectralInterval, z: np.ndarray,
     q = _chebyshev_degree(h, tol)
     # twice the affine map (scale * op + (shift - c) I) / h, folded once
     double = op.folded(2.0 * scale / h, 2.0 * (shift - c) / h)
-    flat = z.reshape(-1)
-    # Clenshaw, b_k = q_k z + double b_{k+1} - b_{k+2}, written over b_{k+2};
-    # the top term is b_K = q_K z since b_{K+1} = b_{K+2} = 0
-    b1 = q[-1] * z
-    b2 = np.zeros_like(z)
-    for k in range(len(q) - 2, 0, -1):
-        np.negative(b2, out=b2)
-        daxpy(flat, b2.reshape(-1), a=q[k])
-        double.apply(b1, into=b2)
-        b1, b2 = b2, b1
-    # y = q_0 z + double b_1 / 2 - b_2, accumulated as twice that and halved
-    b2 *= -2.0
-    daxpy(flat, b2.reshape(-1), a=2.0 * q[0])
-    y = double.apply(b1, into=b2)
-    y *= 0.5 * np.exp(c + h)
-    return y
+    factor = 0.5 * np.exp(c + h)
+    n, s = z.shape[0], (z.shape[1] if z.ndim == 2 else 1)
+    width = -(-_BLOCK_ENTRIES // n)
+    if width >= s:
+        y = _clenshaw(double, q, z, np.empty_like(z), np.empty_like(z))
+        y *= factor
+        return y
+    out = np.empty_like(z)
+    blocks = [slice(j, min(j + width, s)) for j in range(0, s, width)]
+    # next() on a list iterator is one atomic step under the GIL, so the lanes
+    # share it without a lock; every buffer is allocated here, in the calling
+    # thread, since per-thread malloc arenas would raise the peak footprint
+    shared = iter(blocks)
+    lanes = [_POOL.submit(_clenshaw_lane, double, q, factor, z, out, shared,
+                          [np.empty(n * width) for _ in range(3)])
+             for _ in range(min(_LANES, len(blocks)))]
+    # no lane may still write into out once an error propagates
+    wait(lanes)
+    for lane in lanes:
+        lane.result()
+    return out
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,8 @@
+import itertools
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 import scipy.io
@@ -18,9 +23,11 @@ from entrodual import (
     spectral_bounds,
     vn_entropy,
 )
+from entrodual.datasets import gen_er_maxcut
 from entrodual.probes import probe_gibbs
 from entrodual.problems import (MaxCutProblem, StrongPermSyncProblem,
                                 WeakPermSyncProblem)
+from entrodual.solver import SolverConfig, solve
 
 
 def random_symmetric(rng, n, norm=None):
@@ -439,6 +446,82 @@ def test_expm_action_on_shifted_cost_builds_no_pattern(monkeypatch, family):
     first = expm_action(op, iv, z)
     np.testing.assert_array_equal(expm_action(op, iv, z), first)
     assert built == []
+
+
+def large_shifted_operator(family, rng):
+    """A shifted operator of one problem family on a sparse 1030-vertex graph cost."""
+    cost = gen_er_maxcut(1030, seed=4).cost
+    if family == "maxcut":
+        return MaxCutProblem(cost, np.full(1030, 1.0 / 1030), 1.0).shifted_operator(
+            0.1 * rng.standard_normal(1030))
+    if family == "strong":
+        g = rng.standard_normal((103, 10, 10))
+        return StrongPermSyncProblem(cost, 103, 10, 1.0).shifted_operator(
+            0.05 * (g + g.transpose(0, 2, 1)))
+    return WeakPermSyncProblem(cost, 103, 10, 1.0).shifted_operator(
+        (0.1 * rng.standard_normal(1030), 0.1 * rng.standard_normal(103)))
+
+
+class TestColumnBlocks:
+    @pytest.mark.parametrize("family", ["maxcut", "strong", "weak"])
+    def test_block_split_changes_no_bits(self, family):
+        rng = np.random.default_rng(26)
+        op = large_shifted_operator(family, rng)
+        s = 300
+        width = -(-operators._BLOCK_ENTRIES // op.n)
+        assert s > 2 * width and s % width, "S must span three blocks, the last ragged"
+        z = rng.choice([-1.0, 1.0], size=(op.n, s))
+        iv = spectral_bounds(op, seed=5)
+        kw = dict(tol=1e-12, scale=-1.5, shift=1.5 * iv.lo)
+        y = expm_action(op, iv, z, **kw)
+        for j in range(s):
+            np.testing.assert_array_equal(y[:, j], expm_action(op, iv, z[:, j:j + 1], **kw)[:, 0])
+        want = expm_multiply(-1.5 * (op.to_sparse() - iv.lo * sp.eye_array(op.n)), z)
+        assert np.linalg.norm(y - want) <= 1e-10 * np.linalg.norm(want)
+
+    def test_more_lanes_than_cores_compute_every_column_once(self, monkeypatch):
+        rng = np.random.default_rng(28)
+        op = large_shifted_operator("maxcut", rng)
+        z = rng.choice([-1.0, 1.0], size=(op.n, 300))
+        iv = spectral_bounds(op, seed=7)
+        whole = expm_action(op, iv, z)
+        # 43 blocks of 7 columns over 8 lanes, switching threads every microsecond
+        monkeypatch.setattr(operators, "_BLOCK_ENTRIES", 7 * op.n)
+        monkeypatch.setattr(operators, "_LANES", 8)
+        monkeypatch.setattr(operators, "_POOL", ThreadPoolExecutor(max_workers=8))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            np.testing.assert_array_equal(expm_action(op, iv, z), whole)
+        finally:
+            sys.setswitchinterval(interval)
+            operators._POOL.shutdown()
+
+    def test_worker_error_reaches_the_caller_and_leaves_the_pool_working(self, monkeypatch):
+        rng = np.random.default_rng(27)
+        op = large_shifted_operator("maxcut", rng)
+        z = rng.choice([-1.0, 1.0], size=(op.n, 300))
+        iv = spectral_bounds(op, seed=6)
+        healthy = expm_action(op, iv, z)
+        apply, block_calls, lock = SymOperator.apply, itertools.count(1), threading.Lock()
+
+        def faulty(self, v, into=None):
+            if np.ndim(v) == 2:
+                with lock:
+                    call = next(block_calls)
+                if call == 2:
+                    raise ArithmeticError("injected fault")
+            return apply(self, v, into)
+
+        monkeypatch.setattr(SymOperator, "apply", faulty)
+        with pytest.raises(ArithmeticError, match="injected fault"):
+            expm_action(op, iv, z)
+        block_calls = itertools.count(1)
+        problem = gen_er_maxcut(1030, seed=4)
+        with pytest.raises(RuntimeError, match="solver failed at iteration 0: injected"):
+            solve(problem, SolverConfig(iters=2, samples=300, seed=1))
+        monkeypatch.setattr(SymOperator, "apply", apply)
+        np.testing.assert_array_equal(expm_action(op, iv, z), healthy)
 
 
 class TestDenseGibbs:
