@@ -36,7 +36,6 @@ from entrodual.rounding import (
     round_maxcut,
     round_ot,
     round_strong_ps,
-    round_unit_diag,
     triple_norm,
 )
 from entrodual.solver import (
@@ -87,7 +86,6 @@ __all__ = [
     "round_maxcut",
     "round_ot",
     "round_strong_ps",
-    "round_unit_diag",
     "run_experiment",
     "sinkhorn_reference",
     "solve",

@@ -75,10 +75,12 @@ def load_problem(path, beta: float | None = None):
     cost = load_matrix_market(p / "cost.mtx")
     if kind == "maxcut":
         return MaxCutProblem(cost, np.loadtxt(p / "b.txt", ndmin=1), beta)
-    if kind == "ps-strong":
-        return StrongPermSyncProblem(cost, *blocks, beta)
-    if kind == "ps-weak":
-        return WeakPermSyncProblem(cost, *blocks, beta)
+    if kind in ("ps-strong", "ps-weak"):
+        sync = StrongPermSyncProblem if kind == "ps-strong" else WeakPermSyncProblem
+        try:
+            return sync(cost, *blocks, beta)
+        except ValueError as err:
+            raise ValueError(f"{meta_path}: {err}") from None
     raise ValueError(f"unknown problem kind '{kind}' in {meta_path}")
 
 
@@ -153,7 +155,7 @@ def _cmd_round(args) -> int:
         result = round_ot(estimate, problem.mu, problem.nu, cost=problem.cost)
         # cert bounds the entrywise l1 plan perturbation; scale by the cost
         # range to bound the objective shift
-        cost_scale = float(np.abs(problem.cost).max())
+        cost_scale = problem.cost_bound
     elif args.kind == "maxcut":
         if not isinstance(problem, MaxCutProblem):
             raise ValueError("round maxcut needs a cut-relaxation directory")

@@ -38,6 +38,7 @@ __all__ = [
 ]
 
 DENSE_LIMIT = 2048  # largest n the cubic eigendecomposition path accepts
+_SYMMETRY_TOL = 1e-8  # largest asymmetry accepted, relative to max(1, max |a_ij|)
 
 
 def _fold_pattern(base: sp.csr_array, k: int):
@@ -78,11 +79,11 @@ class SymOperator:
     # ---- constructors -------------------------------------------------
 
     @classmethod
-    def from_dense(cls, a: np.ndarray, tol: float = 1e-8) -> "SymOperator":
+    def from_dense(cls, a: np.ndarray) -> "SymOperator":
         a = np.asarray(a, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("expected a square 2-d array")
-        return cls.from_sparse(sp.csr_array(a), tol)
+        return cls.from_sparse(sp.csr_array(a))
 
     @classmethod
     def from_triplets(cls, n: int, rows, cols, vals) -> "SymOperator":
@@ -102,13 +103,13 @@ class SymOperator:
         return cls(base)
 
     @classmethod
-    def from_sparse(cls, m, tol: float = 1e-8) -> "SymOperator":
+    def from_sparse(cls, m) -> "SymOperator":
         m = sp.csr_array(m)
         if m.shape[0] != m.shape[1]:
             raise ValueError("expected a square sparse matrix")
         scale = max(1.0, np.abs(m.data).max()) if m.nnz else 1.0
         asym = abs(m - m.T)
-        if asym.nnz and asym.data.max() > tol * scale:
+        if asym.nnz and asym.data.max() > _SYMMETRY_TOL * scale:
             raise ValueError("input matrix is not symmetric")
         base = sp.csr_array((m + m.T) / 2.0)
         base.sum_duplicates()
@@ -452,18 +453,19 @@ class DenseGibbs:
         return (x + x.T) / 2.0
 
 
-def dense_gibbs(op: SymOperator, beta: float, limit: int = DENSE_LIMIT) -> DenseGibbs:
+def dense_gibbs(op: SymOperator, beta: float) -> DenseGibbs:
     """Eigendecomposition route to the Gibbs state of a symmetric operator.
 
-    Intended as the exact small-scale path; refuses n > limit since cost is
-    cubic. The spectral shift by min(eig) keeps the exponentials in range and
-    cancels in the normalized state; it is added back into log_partition.
+    Intended as the exact small-scale path; refuses n > DENSE_LIMIT since
+    cost is cubic. The spectral shift by min(eig) keeps the exponentials in
+    range and cancels in the normalized state; it is added back into
+    log_partition.
     """
     if not 0.0 < beta < np.inf:
         raise ValueError("beta must be positive and finite")
-    if op.n > limit:
-        raise ValueError(
-            f"n={op.n} exceeds the dense limit {limit}; use the probe-based path")
+    if op.n > DENSE_LIMIT:
+        raise ValueError(f"n={op.n} exceeds the dense limit {DENSE_LIMIT}; "
+                         "use the probe-based path")
     evals, vecs = np.linalg.eigh(op.to_dense())
     w = np.exp(-beta * (evals - evals[0]))
     z = w.sum()

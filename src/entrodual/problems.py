@@ -55,8 +55,8 @@ class _GibbsProblem:
         return (self.stochastic_gradient(ProbeBatch(state.factor)),
                 -self.linear_term(lam) + state.log_partition / self.beta)
 
-    def default_sample_count(self, coef: float = 25.0) -> int:
-        return max(1, ceil(coef * log(max(2, self.dimension))))
+    def default_sample_count(self) -> int:
+        return max(1, ceil(25 * log(max(2, self.dimension))))
 
 
 @dataclass(frozen=True)
@@ -210,6 +210,10 @@ class _SyncProblem(_GibbsProblem):
     beta: float
 
     def __post_init__(self):
+        for name in ("num_images", "block_size"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.num_images < 1 or self.block_size < 1:
             raise ValueError("block structure must be positive")
         if self.cost.n != self.num_images * self.block_size:
@@ -258,8 +262,8 @@ class StrongPermSyncProblem(_SyncProblem):
     def feasibility_error(self, grad) -> float:
         return BLOCK_SPECTRAL.dual(grad)
 
-    def default_sample_count(self, coef: float = 8.0) -> int:
-        return max(1, ceil(coef * self.block_size * log(max(2, self.num_images))))
+    def default_sample_count(self) -> int:
+        return max(1, ceil(8 * self.block_size * log(max(2, self.num_images))))
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,11 @@
 
 Each rounder returns the feasible payload together with a proven bound on the
 objective perturbation it can introduce. Transport plans are fixed by
-row/column scaling plus a rank-one mass correction; SDP estimates are fixed by
-deflating the offending diagonal (or diagonal-block spectrum) and shifting the
-deficit back in, which keeps the output PSD by construction.
+row/column scaling plus a rank-one mass correction. Both SDP rounders run one
+algorithm: a block-diagonal congruence of the PSD factor caps every diagonal
+block at its target, and the deficit is shifted back onto the diagonal
+blocks, which keeps the output PSD by construction. Max-Cut is the case of
+1 x 1 blocks.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 __all__ = ["RoundedPrimal", "PSDFactor", "psd_factor", "round_ot",
-           "round_unit_diag", "round_maxcut", "round_strong_ps", "triple_norm"]
+           "round_maxcut", "round_strong_ps", "triple_norm"]
 
 
 @dataclass(frozen=True)
@@ -50,16 +52,16 @@ def _check_symmetric(x, name="matrix"):
     return (x + x.T) / 2
 
 
-def psd_factor(x, tol: float = 1e-8) -> PSDFactor:
+def psd_factor(x) -> PSDFactor:
     """Eigendecomposition factor of a numerically PSD matrix.
 
-    Eigenvalues below -tol * ||x||_2 are rejected; small negatives above that
+    Eigenvalues below -1e-8 * ||x||_2 are rejected; small negatives above that
     are clipped to zero and their total magnitude reported as clip_mass.
     """
     x = _check_symmetric(x)
     w, u = np.linalg.eigh(x)
     spectral = float(np.abs(w).max()) if w.size else 0.0
-    if w.size and w.min() < -tol * max(spectral, 1e-300):
+    if w.size and w.min() < -1e-8 * max(spectral, 1e-300):
         raise ValueError(f"input not numerically PSD: min eigenvalue {w.min():.3e}")
     clipped = np.clip(w, 0.0, None)
     clip_mass = float(np.clip(-w, 0.0, None).sum())
@@ -113,45 +115,43 @@ def round_ot(pi, mu, nu, cost=None) -> RoundedPrimal:
                          measured_shift=measured)
 
 
-def _row_sum_norm(a) -> float:
-    return float(np.abs(a).sum(axis=1).max())
+def _block_view(a, num_images, block_size):
+    """a as an (N, K, N, K) view of K x K blocks; raises unless they tile a.
 
-
-def round_unit_diag(x, a=None) -> RoundedPrimal:
-    """Round a PSD matrix to exact unit diagonal.
-
-    Entries with x_ii > 1 are deflated by the scaling d_i = 1/sqrt(x_ii),
-    which keeps the matrix PSD and caps the diagonal at 1; the remaining
-    diagonal deficit is added back as a nonnegative diagonal. Objective shift
-    against a symmetric a is certified at 3 * delta * max abs row sum of a,
-    delta the l1 diagonal error of the input.
+    einsum("ikil->ikl", view) is the writeable (N, K, K) diagonal-block view.
     """
-    x = _check_symmetric(x)
-    factor = psd_factor(x)
-    x = factor.v.T @ factor.v
-    diag = np.diag(x).copy()
-    delta = float(np.abs(diag - 1.0).sum())
+    n = a.shape[0]
+    if num_images < 1 or block_size < 1 or num_images * block_size != n:
+        raise ValueError(
+            f"blocks of size {block_size} x {num_images} do not tile size {n}")
+    return a.reshape(num_images, block_size, num_images, block_size)
 
-    d = np.where(diag > 1.0, 1.0 / np.sqrt(np.where(diag > 1.0, diag, 1.0)), 1.0)
-    deflated = x * np.outer(d, d)
-    rounded = deflated.copy()
-    np.fill_diagonal(rounded, 1.0)
 
-    if a is None:
-        return RoundedPrimal(payload=rounded, perturbation_certificate=3.0 * delta)
-    a = _check_symmetric(a, "objective matrix")
-    certificate = 3.0 * delta * _row_sum_norm(a)
-    measured = float(abs(np.sum(a * (x - rounded))))
-    return RoundedPrimal(payload=rounded, perturbation_certificate=certificate,
-                         measured_shift=measured)
+def _deflate_blocks(x, block_size: int) -> np.ndarray:
+    """Cap each K x K diagonal block of PSD x = V^T V at I, then set it to I.
+
+    Column block V_i of the factor is multiplied by W diag(min(1, w^(-1/2))) W^T,
+    W diag(w) W^T = V_i^T V_i, which caps V_i^T V_i at I spectrally and keeps
+    V^T V PSD; resetting the blocks to I adds the PSD deficit back.
+    """
+    v = psd_factor(x).v
+    n, k = v.shape[1], block_size
+    cols = v.reshape(n, n // k, k)
+    w, u = np.linalg.eigh(np.einsum("rik,ril->ikl", cols, cols))
+    cap = (u / np.sqrt(np.maximum(w, 1.0))[:, None, :]) @ u.transpose(0, 2, 1)
+    tilde = np.einsum("rik,ikl->ril", cols, cap, optimize=True).reshape(n, n)
+    rounded = tilde.T @ tilde
+    np.einsum("ikil->ikl", _block_view(rounded, n // k, k))[...] = np.eye(k)
+    return rounded
 
 
 def round_maxcut(x, b, a) -> RoundedPrimal:
     """Round a PSD matrix to exact diagonal b > 0.
 
-    Conjugating by diag(1/sqrt(b)) reduces to the unit-diagonal case; the
-    certificate is 3 * kappa * delta * max abs row sum of a, with kappa the
-    ratio of extreme entries of b and delta the measured l1 diagonal error.
+    Conjugating by diag(1/sqrt(b)) reduces to unit diagonal, which is the
+    block rounding of round_strong_ps with 1 x 1 blocks. The certificate is
+    3 * kappa * delta * max abs row sum of a, with kappa the ratio of extreme
+    entries of b and delta the measured l1 diagonal error.
     """
     x = _check_symmetric(x)
     b = np.asarray(b, dtype=float)
@@ -166,21 +166,13 @@ def round_maxcut(x, b, a) -> RoundedPrimal:
 
     root = np.sqrt(b)
     frame = np.outer(root, root)
-    unit = round_unit_diag(x / frame)
-    rounded = unit.payload * frame
+    rounded = _deflate_blocks(x / frame, 1) * frame
     np.fill_diagonal(rounded, b)
 
-    certificate = 3.0 * kappa * delta * _row_sum_norm(a)
+    certificate = 3.0 * kappa * delta * float(np.abs(a).sum(axis=1).max())
     measured = float(abs(np.sum(a * (x - rounded))))
     return RoundedPrimal(payload=rounded, perturbation_certificate=certificate,
                          measured_shift=measured)
-
-
-def _block_slices(n, num_images, block_size):
-    if num_images < 1 or block_size < 1 or num_images * block_size != n:
-        raise ValueError(
-            f"blocks of size {block_size} x {num_images} do not tile size {n}")
-    return [slice(i * block_size, (i + 1) * block_size) for i in range(num_images)]
 
 
 def triple_norm(a, num_images: int, block_size: int) -> float:
@@ -188,43 +180,25 @@ def triple_norm(a, num_images: int, block_size: int) -> float:
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
-    sl = _block_slices(a.shape[0], num_images, block_size)
-    best = 0.0
-    for si in sl:
-        total = sum(np.linalg.norm(a[si, sj], 2) for sj in sl)
-        best = max(best, float(total))
-    return best
+    blocks = _block_view(a, num_images, block_size).transpose(0, 2, 1, 3)
+    return float(np.linalg.norm(blocks, ord=2, axis=(2, 3)).sum(axis=1).max())
 
 
 def round_strong_ps(x, num_images: int, block_size: int, a=None) -> RoundedPrimal:
     """Round a PSD matrix to exact identity diagonal blocks.
 
     Works on the frame where the block target is the identity (callers using
-    trace normalization rescale before and after). The factor's column blocks
-    get their singular values thresholded at 1, which caps every diagonal
-    block at the identity; the deficits are shifted back in block-diagonally.
-    Certificate: (2K + 1) * delta * triple_norm(a), delta the summed nuclear
-    norm error of the input's diagonal blocks.
+    trace normalization rescale before and after). A block-diagonal
+    congruence of the factor caps every diagonal block at the identity, and
+    the deficits are shifted back in block-diagonally (round_maxcut is the
+    1 x 1 case). Certificate: (2K + 1) * delta * triple_norm(a), delta the
+    summed nuclear norm error of the input's diagonal blocks.
     """
     x = _check_symmetric(x)
     k = block_size
-    sl = _block_slices(x.shape[0], num_images, k)
-
-    delta = 0.0
-    for si in sl:
-        w = np.linalg.eigvalsh(x[si, si] - np.eye(k))
-        delta += float(np.abs(w).sum())
-
-    factor = psd_factor(x)
-    parts = []
-    for si in sl:
-        u, s, vh = np.linalg.svd(factor.v[:, si], full_matrices=False)
-        parts.append((u * np.minimum(s, 1.0)) @ vh)
-    tilde = np.hstack(parts)
-    rounded = tilde.T @ tilde
-    rounded = (rounded + rounded.T) / 2
-    for si in sl:
-        rounded[si, si] = np.eye(k)
+    diag_blocks = np.einsum("ikil->ikl", _block_view(x, num_images, k))
+    delta = float(np.abs(np.linalg.eigvalsh(diag_blocks - np.eye(k))).sum())
+    rounded = _deflate_blocks(x, k)
 
     if a is None:
         return RoundedPrimal(payload=rounded,

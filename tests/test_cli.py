@@ -326,7 +326,8 @@ class TestCertifyCommand:
                                       "blank-grad-cell", "fractional-iter-cell",
                                       "nan-feas-cell", "truncated-csv",
                                       "swapped-csv-rows", "best-iteration-past-rows",
-                                      "no-kind", *MISTYPED])
+                                      "no-kind", "float-num-images",
+                                      "bool-num-images", *MISTYPED])
     def test_malformed_input_exits_two_naming_the_file(self, tmp_path, capsys,
                                                         case):
         # each input once ended in a raw traceback with exit 1, which certify
@@ -334,6 +335,7 @@ class TestCertifyCommand:
         d, out = self.make_run(tmp_path)
         trace_csv, trace_json = out / "trace.csv", out / "trace.json"
         meta = json.loads(trace_json.read_text())
+        cmd = ["certify", "--problem", d, "--trace", trace_csv]
         if case == "no-best-iteration":
             del meta["best_iteration"]
             trace_json.write_text(json.dumps(meta))
@@ -383,12 +385,25 @@ class TestCertifyCommand:
             lines[3] = ",".join(cells)
             trace_csv.write_text("\n".join(lines) + "\n")
             want = ("trace.csv", "row 3", column)
+        elif case.endswith("-num-images"):
+            # a float or boolean image count once passed the size check
+            # (1.0 * 4 == True * 4 == 4) and died in solve with a TypeError
+            d = tmp_path / "ps"
+            run(["gen", "ps-strong", "--num-images", 1, "--keypoints", 4,
+                 "--registry", 4, "--out", d])
+            problem_meta = json.loads((d / "meta.json").read_text())
+            problem_meta["num_images"] = {"float-num-images": 1.0,
+                                          "bool-num-images": True}[case]
+            (d / "meta.json").write_text(json.dumps(problem_meta))
+            cmd = ["solve", "ps-strong", "--problem", d, "--iters", 2,
+                   "--out", tmp_path / "ps-run"]
+            want = ("meta.json", "num_images")
         else:
             problem_meta = json.loads((d / "meta.json").read_text())
             del problem_meta["kind"]
             (d / "meta.json").write_text(json.dumps(problem_meta))
             want = ("meta.json", "kind")
-        code = run(["certify", "--problem", d, "--trace", trace_csv])
+        code = run(cmd)
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and all(w in err for w in want)

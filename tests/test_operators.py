@@ -556,9 +556,10 @@ class TestDenseGibbs:
         assert abs(g.log_partition - 800.0) <= 1e-9
 
     def test_dense_limit_guard(self):
-        op = SymOperator.zeros(8)
+        # the guard raises before any eigendecomposition
+        op = SymOperator.zeros(operators.DENSE_LIMIT + 1)
         with pytest.raises(ValueError, match="probe"):
-            dense_gibbs(op, beta=1.0, limit=4)
+            dense_gibbs(op, beta=1.0)
 
     def test_factor_reproduces_density(self):
         rng = np.random.default_rng(13)

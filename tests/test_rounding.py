@@ -9,8 +9,7 @@ from scipy.linalg import svdvals
 from entrodual.operators import SymOperator, dense_gibbs
 from entrodual.problems import MaxCutProblem, StrongPermSyncProblem
 from entrodual.rounding import (PSDFactor, RoundedPrimal, psd_factor, round_maxcut,
-                                round_ot, round_strong_ps, round_unit_diag,
-                                triple_norm)
+                                round_ot, round_strong_ps, triple_norm)
 from entrodual.solver import SolverConfig, solve
 
 
@@ -22,6 +21,38 @@ def random_psd(n, rng, rank=None):
 def random_sym(n, rng):
     a = rng.normal(size=(n, n))
     return (a + a.T) / 2
+
+
+def reference_round_strong_ps(x, n_img, k):
+    """The block rounding by per-block SVD: singular values of each column
+    block of the factor thresholded at 1, then identity diagonal blocks."""
+    v = psd_factor(x).v
+    parts = []
+    for i in range(n_img):
+        u, s, vh = np.linalg.svd(v[:, i * k:(i + 1) * k], full_matrices=False)
+        parts.append((u * np.minimum(s, 1.0)) @ vh)
+    tilde = np.hstack(parts)
+    out = tilde.T @ tilde
+    out = (out + out.T) / 2
+    for i in range(n_img):
+        out[i * k:(i + 1) * k, i * k:(i + 1) * k] = np.eye(k)
+    return out
+
+
+def block_rounding_input(case, rng):
+    """(x, N, K) in the identity-block frame for a named special case."""
+    if case == "random":
+        n_img, k, rank = int(rng.integers(1, 6)), int(rng.integers(1, 5)), None
+    else:
+        n_img, k, rank = {"one-by-one": (5, 1, None), "single-block": (1, 6, None),
+                          "rank-deficient": (3, 3, 2),
+                          "zero-eigenvalue": (3, 2, None)}[case]
+    n = n_img * k
+    g = rng.normal(size=(rank or n, n))
+    if case == "zero-eigenvalue":
+        g[:, k] = 0.0  # the second diagonal block gets an exact 0 eigenvalue
+    x = g.T @ g
+    return x * rng.uniform(0.2, 2.0) * n / np.trace(x), n_img, k
 
 
 class TestPsdFactor:
@@ -121,10 +152,12 @@ class TestRoundOT:
 
 
 class TestRoundUnitDiag:
+    """Unit diagonal is block rounding with 1 x 1 blocks."""
+
     def test_deflate_then_lift_by_hand(self):
         # diagonal (2, 0.5): index 0 deflates to 1, index 1 lifts to 1
         x = np.array([[2.0, 0.0], [0.0, 0.5]])
-        out = round_unit_diag(x)
+        out = round_strong_ps(x, 2, 1)
         assert np.abs(out.payload - np.eye(2)).max() < 1e-12
         assert out.perturbation_certificate == pytest.approx(3.0 * 1.5)
 
@@ -133,7 +166,7 @@ class TestRoundUnitDiag:
         x = random_psd(6, rng)
         d = 1.0 / np.sqrt(np.diag(x))
         x = x * np.outer(d, d)
-        out = round_unit_diag(x)
+        out = round_strong_ps(x, 6, 1)
         assert np.abs(out.payload - x).max() < 1e-10
 
 
@@ -162,6 +195,7 @@ class TestRoundMaxCut:
             b = rng.dirichlet(np.ones(n))
             out = round_maxcut(x, b, random_sym(n, rng))
             assert np.array_equal(np.diag(out.payload), b)
+            assert np.array_equal(out.payload, out.payload.T)
             assert np.linalg.eigvalsh(out.payload).min() >= -1e-10
 
     def test_certificate_never_violated(self):
@@ -187,6 +221,16 @@ class TestRoundMaxCut:
         infn = np.abs(a).sum(axis=1).max()
         assert out.perturbation_certificate == pytest.approx(3 * kappa * delta * infn)
 
+    def test_uniform_b_is_unit_block_rounding(self):
+        rng = np.random.default_rng(16)
+        for trial in range(20):
+            n = int(rng.integers(1, 12))
+            x = random_psd(n, rng, rank=int(rng.integers(1, n + 1)))
+            x /= np.trace(x)
+            out = round_maxcut(x, np.full(n, 1.0 / n), random_sym(n, rng))
+            want = round_strong_ps(n * x, n, 1).payload / n
+            np.testing.assert_allclose(out.payload, want, rtol=0.0, atol=1e-14)
+
     def test_indefinite_rejected(self):
         with pytest.raises(ValueError, match="not numerically PSD"):
             round_maxcut(np.array([[1.0, 2.0], [2.0, 1.0]]),
@@ -209,16 +253,17 @@ class TestTripleNorm:
 
     def test_matches_blockwise_svd_oracle(self):
         rng = np.random.default_rng(9)
-        n_img, k = 4, 3
-        a = random_sym(n_img * k, rng)
-        best = 0.0
-        for i in range(n_img):
-            total = 0.0
-            for j in range(n_img):
-                blk = a[i * k:(i + 1) * k, j * k:(j + 1) * k]
-                total += svdvals(blk)[0]
-            best = max(best, total)
-        assert triple_norm(a, n_img, k) == pytest.approx(best, rel=1e-12)
+        # general blocks, 1 x 1 blocks, and a single block
+        for n_img, k in [(4, 3), (5, 1), (1, 4)]:
+            a = random_sym(n_img * k, rng)
+            best = 0.0
+            for i in range(n_img):
+                total = 0.0
+                for j in range(n_img):
+                    blk = a[i * k:(i + 1) * k, j * k:(j + 1) * k]
+                    total += svdvals(blk)[0]
+                best = max(best, total)
+            assert triple_norm(a, n_img, k) == pytest.approx(best, rel=1e-12)
 
     def test_bad_tiling_rejected(self):
         with pytest.raises(ValueError, match="tile"):
@@ -239,6 +284,19 @@ class TestRoundStrongPS:
                 x[i * k:(i + 1) * k, j * k:(j + 1) * k] = zi.T @ zj
         out = round_strong_ps(x, n_img, k)
         assert np.abs(out.payload - x).max() < 1e-10
+
+    @pytest.mark.parametrize("case", ["one-by-one", "single-block",
+                                      "rank-deficient", "zero-eigenvalue",
+                                      "random"])
+    def test_matches_per_block_svd_reference(self, case):
+        rng = np.random.default_rng(17)
+        for trial in range(20 if case == "random" else 3):
+            x, n_img, k = block_rounding_input(case, rng)
+            out = round_strong_ps(x, n_img, k)
+            assert np.array_equal(out.payload, out.payload.T)
+            np.testing.assert_allclose(out.payload,
+                                       reference_round_strong_ps(x, n_img, k),
+                                       rtol=0.0, atol=1e-12)
 
     def test_scalar_thresholded(self):
         out = round_strong_ps(np.array([[4.0]]), 1, 1)
