@@ -1,7 +1,7 @@
 """Convergence profiles for the three problem families, one subcommand each.
 
 maxcut: stochastic solves on Erdos-Renyi cut relaxations (edge probability
-3/n) at several sizes with S = ceil(coef log n) probes; the averaged
+3/n) at several sizes with the default S = ceil(25 log n) probes; the averaged
 feasibility curves should coincide across sizes (dimension independence).
 ot: exact solves on entropic transport with the dual objective recorded, on
 a bright square over dim noise or, with --images, a pooled pair from an IDX
@@ -25,12 +25,11 @@ from entrodual.solver import SolverConfig
 def maxcut_specs(args):
     out = Path(args.out)
     for n in args.sizes:
-        samples = math.ceil(args.probe_coef * math.log(n))
+        samples = math.ceil(25 * math.log(n))
         yield f"n={n:5d}  S={samples:4d}", ExperimentSpec(
             kind="maxcut",
             params={"n": n, "beta": args.beta},
-            config=SolverConfig(iters=args.iters, samples=samples,
-                                seed=args.seed),
+            config=SolverConfig(iters=args.iters, seed=args.seed),
             out_dir=str(out / f"n{n}"),
             replicates=args.replicates,
             name=f"maxcut_n{n}",
@@ -100,8 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("maxcut", maxcut_specs, 200, 5, "results/maxcut_profile")
     p.add_argument("--sizes", type=int, nargs="+", default=[50, 100, 200])
     p.add_argument("--beta", type=float, default=10.0)
-    p.add_argument("--probe-coef", type=float, default=25.0,
-                   help="S = ceil(coef * log n)")
     p = add("ot", ot_specs, 500, 5, "results/ot_profile")
     p.add_argument("--k", type=int, default=8, help="image side length")
     p.add_argument("--beta", type=float, default=10.0)

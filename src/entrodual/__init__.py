@@ -30,7 +30,6 @@ from entrodual.problems import (
     WeakPermSyncProblem,
 )
 from entrodual.rounding import (
-    PSDFactor,
     RoundedPrimal,
     psd_factor,
     round_maxcut,
@@ -57,7 +56,6 @@ __all__ = [
     "MaxCutProblem",
     "OTProblem",
     "PAIR",
-    "PSDFactor",
     "PermSynchModel",
     "ProbeBatch",
     "RoundedPrimal",

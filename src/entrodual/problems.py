@@ -263,7 +263,7 @@ class StrongPermSyncProblem(_SyncProblem):
         return BLOCK_SPECTRAL.dual(grad)
 
     def default_sample_count(self) -> int:
-        return max(1, ceil(8 * self.block_size * log(max(2, self.num_images))))
+        return max(1, ceil(8 * self.block_size * log(max(2, self.dimension))))
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,8 @@
 """Rounding near-feasible primal estimates to exactly feasible points.
 
 Each rounder returns the feasible payload together with a proven bound on the
-objective perturbation it can introduce. Transport plans are fixed by
+perturbation it can introduce, in the units of the shift it measures: the
+objective when a cost is given. Transport plans are fixed by
 row/column scaling plus a rank-one mass correction. Both SDP rounders run one
 algorithm: a block-diagonal congruence of the PSD factor caps every diagonal
 block at its target, and the deficit is shifted back onto the diagonal
@@ -16,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-__all__ = ["RoundedPrimal", "PSDFactor", "psd_factor", "round_ot",
+__all__ = ["RoundedPrimal", "psd_factor", "round_ot",
            "round_maxcut", "round_strong_ps", "triple_norm"]
 
 
@@ -24,22 +25,15 @@ __all__ = ["RoundedPrimal", "PSDFactor", "psd_factor", "round_ot",
 class RoundedPrimal:
     """Feasible payload, the certified perturbation bound, and the shift actually measured.
 
-    measured_shift is the realized |<A, X - X'>| (or |<c, pi_hat - pi>|) when
-    the objective matrix was supplied; for transport without a cost it is the
-    entrywise l1 movement of the plan, the quantity the certificate bounds.
+    The certificate bounds measured_shift. That is the realized
+    |<A, X - X'>| (or |<C, pi_hat - pi>|) when the objective matrix was
+    supplied; for transport without a cost it is the entrywise l1 movement of
+    the plan.
     """
 
     payload: np.ndarray
     perturbation_certificate: float
     measured_shift: Optional[float] = None
-
-
-@dataclass(frozen=True)
-class PSDFactor:
-    """Factor v with x = v.T @ v; negative eigenvalue mass clipped to zero."""
-
-    v: np.ndarray
-    clip_mass: float
 
 
 def _check_symmetric(x, name="matrix"):
@@ -52,20 +46,18 @@ def _check_symmetric(x, name="matrix"):
     return (x + x.T) / 2
 
 
-def psd_factor(x) -> PSDFactor:
-    """Eigendecomposition factor of a numerically PSD matrix.
+def psd_factor(x) -> np.ndarray:
+    """Factor v with v.T @ v = x, from an eigendecomposition of PSD x.
 
     Eigenvalues below -1e-8 * ||x||_2 are rejected; small negatives above that
-    are clipped to zero and their total magnitude reported as clip_mass.
+    are clipped to zero.
     """
     x = _check_symmetric(x)
     w, u = np.linalg.eigh(x)
     spectral = float(np.abs(w).max()) if w.size else 0.0
     if w.size and w.min() < -1e-8 * max(spectral, 1e-300):
         raise ValueError(f"input not numerically PSD: min eigenvalue {w.min():.3e}")
-    clipped = np.clip(w, 0.0, None)
-    clip_mass = float(np.clip(-w, 0.0, None).sum())
-    return PSDFactor(v=np.sqrt(clipped)[:, None] * u.T, clip_mass=clip_mass)
+    return np.sqrt(np.clip(w, 0.0, None))[:, None] * u.T
 
 
 def round_ot(pi, mu, nu, cost=None) -> RoundedPrimal:
@@ -73,8 +65,10 @@ def round_ot(pi, mu, nu, cost=None) -> RoundedPrimal:
 
     Rows are scaled by min(1, mu_i / row_mass_i) (factor 1 on empty rows),
     columns likewise, and the remaining nonnegative marginal deficits are added
-    back as a rank-one term, so the output marginals are exact. The certified
-    entrywise l1 movement is twice the input's total marginal error.
+    back as a rank-one term, so the output marginals are exact. The entrywise
+    l1 movement is at most twice the input's total marginal error; with a cost
+    the certificate is that bound times max |C|, a bound on the objective
+    shift (Altschuler, Weed & Rigollet 2017).
     """
     pi = np.asarray(pi, dtype=float)
     mu = np.asarray(mu, dtype=float)
@@ -110,6 +104,7 @@ def round_ot(pi, mu, nu, cost=None) -> RoundedPrimal:
         cost = np.asarray(cost, dtype=float)
         if cost.shape != pi.shape:
             raise ValueError("cost must match the plan shape")
+        certificate *= float(np.abs(cost).max())
         measured = float(abs(np.sum(cost * (rounded - pi))))
     return RoundedPrimal(payload=rounded, perturbation_certificate=certificate,
                          measured_shift=measured)
@@ -134,7 +129,7 @@ def _deflate_blocks(x, block_size: int) -> np.ndarray:
     W diag(w) W^T = V_i^T V_i, which caps V_i^T V_i at I spectrally and keeps
     V^T V PSD; resetting the blocks to I adds the PSD deficit back.
     """
-    v = psd_factor(x).v
+    v = psd_factor(x)
     n, k = v.shape[1], block_size
     cols = v.reshape(n, n // k, k)
     w, u = np.linalg.eigh(np.einsum("rik,ril->ikl", cols, cols))

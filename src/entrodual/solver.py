@@ -104,14 +104,13 @@ class SolverConfig:
             if value is not None and not (_finite(value) and value >= 0.0):
                 raise ValueError(f"{name} must be finite and nonnegative")
 
-    def resolve(self, problem):
-        """(beta, eta) for this run, warning when eta exceeds 1/beta."""
-        beta = problem.beta
-        eta = 1.0 / beta if self.eta is None else self.eta
-        if eta > 1.0 / beta * (1.0 + 1e-12):
+    def resolve(self, problem) -> float:
+        """eta for this run, warning when it exceeds 1/beta."""
+        eta = 1.0 / problem.beta if self.eta is None else self.eta
+        if eta > 1.0 / problem.beta * (1.0 + 1e-12):
             warnings.warn("eta exceeds 1/beta; convergence guarantees do not apply",
                           stacklevel=3)
-        return beta, eta
+        return eta
 
 
 @dataclass
@@ -278,7 +277,7 @@ def solve(problem, config: SolverConfig,
     best dual point by reference, since every update returns a fresh payload.
     Backend failures are re-raised with the iteration index attached.
     """
-    beta, eta = config.resolve(problem)
+    eta = config.resolve(problem)
     family = problem.norm_family()
     lam = problem.initial_dual()
 
@@ -299,8 +298,8 @@ def solve(problem, config: SolverConfig,
                 grad, record["dual_objective"][t] = problem.dense_eval(lam)
             else:
                 z = draw_probes(problem.dimension, samples, config.seed, t)
-                batch = _probe_batch(problem.shifted_operator(lam), beta, z,
-                                     config.seed)
+                batch = _probe_batch(problem.shifted_operator(lam), problem.beta,
+                                     z, config.seed)
                 grad = problem.stochastic_gradient(batch)
             feas = record["feasibility"][t] = problem.feasibility_error(grad)
             gnorm = record["grad_dual_norm"][t] = dual_norm(family, grad)

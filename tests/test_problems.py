@@ -443,9 +443,14 @@ class TestDefaultSampleCounts:
         p = random_maxcut(np.random.default_rng(24), 100)
         assert p.default_sample_count() == int(np.ceil(25 * np.log(100)))
         ps = StrongPermSyncProblem(SymOperator.zeros(200), 20, 10, 1.0)
-        assert ps.default_sample_count() == int(np.ceil(8 * 10 * np.log(20)))
+        assert ps.default_sample_count() == int(np.ceil(8 * 10 * np.log(200)))
         pw = WeakPermSyncProblem(SymOperator.zeros(200), 20, 10, 1.0)
         assert pw.default_sample_count() == int(np.ceil(25 * np.log(200)))
+        # the counts the pinned benchmark workloads pass explicitly
+        ps = StrongPermSyncProblem(SymOperator.zeros(1000), 100, 10, 1.0)
+        assert ps.default_sample_count() == 553
+        mc = MaxCutProblem(SymOperator.zeros(4000), np.full(4000, 1 / 4000), 1.0)
+        assert mc.default_sample_count() == 208
 
 
 def _ot_with(cost=None, mu=None, beta=1.0):

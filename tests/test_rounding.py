@@ -8,8 +8,8 @@ from scipy.linalg import svdvals
 
 from entrodual.operators import SymOperator, dense_gibbs
 from entrodual.problems import MaxCutProblem, StrongPermSyncProblem
-from entrodual.rounding import (PSDFactor, RoundedPrimal, psd_factor, round_maxcut,
-                                round_ot, round_strong_ps, triple_norm)
+from entrodual.rounding import (RoundedPrimal, psd_factor, round_maxcut, round_ot,
+                                round_strong_ps, triple_norm)
 from entrodual.solver import SolverConfig, solve
 
 
@@ -26,7 +26,7 @@ def random_sym(n, rng):
 def reference_round_strong_ps(x, n_img, k):
     """The block rounding by per-block SVD: singular values of each column
     block of the factor thresholded at 1, then identity diagonal blocks."""
-    v = psd_factor(x).v
+    v = psd_factor(x)
     parts = []
     for i in range(n_img):
         u, s, vh = np.linalg.svd(v[:, i * k:(i + 1) * k], full_matrices=False)
@@ -57,32 +57,29 @@ def block_rounding_input(case, rng):
 
 class TestPsdFactor:
     def test_identity(self):
-        f = psd_factor(np.eye(5))
-        assert isinstance(f, PSDFactor)
-        assert np.abs(f.v.T @ f.v - np.eye(5)).max() < 1e-12
-        assert f.clip_mass == 0.0
+        v = psd_factor(np.eye(5))
+        assert np.abs(v.T @ v - np.eye(5)).max() < 1e-12
 
     def test_rank_one(self):
         u = np.array([1.0, -2.0, 0.5])
         x = np.outer(u, u)
-        f = psd_factor(x)
-        assert np.abs(f.v.T @ f.v - x).max() < 1e-10
+        v = psd_factor(x)
+        assert np.abs(v.T @ v - x).max() < 1e-10
 
     def test_random_psd_reconstruction(self):
         rng = np.random.default_rng(0)
         x = random_psd(12, rng)
-        f = psd_factor(x)
-        assert np.abs(f.v.T @ f.v - x).max() < 1e-10
+        v = psd_factor(x)
+        assert np.abs(v.T @ v - x).max() < 1e-10
 
     def test_small_negative_eigenvalue_clipped(self):
         q, _ = np.linalg.qr(np.random.default_rng(1).normal(size=(4, 4)))
         w = np.array([2.0, 1.0, 0.5, -1e-12])
         x = (q * w) @ q.T
-        f = psd_factor(x)
-        assert f.clip_mass == pytest.approx(1e-12, rel=1e-2)
-        err = np.linalg.norm(f.v.T @ f.v - (x + x.T) / 2)
-        assert err <= max(1e-8, 2 * f.clip_mass)
-        assert np.linalg.eigvalsh(f.v.T @ f.v).min() >= -1e-15
+        v = psd_factor(x)
+        err = np.linalg.norm(v.T @ v - (x + x.T) / 2)
+        assert err <= 2e-12
+        assert np.linalg.eigvalsh(v.T @ v).min() >= -1e-15
 
     def test_indefinite_input_rejected(self):
         x = np.array([[1.0, 2.0], [2.0, 1.0]])
@@ -131,14 +128,25 @@ class TestRoundOT:
 
     def test_objective_shift_bounded_by_unit_cost_certificate(self):
         rng = np.random.default_rng(4)
-        for _ in range(30):
+        for scale in [1.0, 10.0] * 15:
             pi = rng.uniform(0.0, 1.0, (5, 4))
             pi /= pi.sum() * rng.uniform(0.8, 1.25)
             mu = rng.dirichlet(np.ones(5))
             nu = rng.dirichlet(np.ones(4))
-            cost = rng.uniform(0.0, 1.0, (5, 4))
+            cost = scale * rng.uniform(0.0, 1.0, (5, 4))
             out = round_ot(pi, mu, nu, cost=cost)
+            err = np.abs(pi.sum(axis=1) - mu).sum() + np.abs(pi.sum(axis=0) - nu).sum()
+            assert out.perturbation_certificate == pytest.approx(
+                2 * err * np.abs(cost).max(), rel=0, abs=1e-12)
             assert out.measured_shift <= out.perturbation_certificate + 1e-10
+
+    def test_certificate_in_objective_units(self):
+        # 0.4 of mass leaves the cost-10 entry, an objective shift of 4,
+        # while the plan's l1 movement is bounded by 1.6
+        out = round_ot(np.array([[0.5, 0.5]]), np.array([1.0]),
+                       np.array([0.9, 0.1]), cost=np.array([[0.0, 10.0]]))
+        assert out.measured_shift == pytest.approx(4.0)
+        assert out.measured_shift <= out.perturbation_certificate
 
     def test_negative_entries_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
@@ -307,7 +315,7 @@ class TestRoundStrongPS:
         n_img, k = 3, 4
         n = n_img * k
         base = np.eye(n) + 0.08 * random_sym(n, rng)
-        x = psd_factor(base).v
+        x = psd_factor(base)
         x = x.T @ x
         a = random_sym(n, rng)
         out = round_strong_ps(x, n_img, k, a=a)

@@ -39,8 +39,8 @@ def test_subcommand_writes_summary_and_average(run_profile, tmp_path, capsys,
 def test_defaults_match_the_documented_profiles(run_profile):
     parse = run_profile.build_parser().parse_args
     mc, ot, ps = parse(["maxcut"]), parse(["ot"]), parse(["permsynch"])
-    assert (mc.sizes, mc.beta, mc.iters, mc.replicates, mc.probe_coef, mc.out) == (
-        [50, 100, 200], 10.0, 200, 5, 25.0, "results/maxcut_profile")
+    assert (mc.sizes, mc.beta, mc.iters, mc.replicates, mc.out) == (
+        [50, 100, 200], 10.0, 200, 5, "results/maxcut_profile")
     assert (ot.k, ot.beta, ot.iters, ot.replicates, ot.images, ot.out) == (
         8, 10.0, 500, 5, None, "results/ot_profile")
     assert (ps.num_images, ps.keypoints, ps.iters, ps.replicates, ps.kinds,
