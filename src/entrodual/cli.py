@@ -32,6 +32,11 @@ __all__ = ["main", "load_problem", "write_problem"]
 
 # ---- problem directory IO -------------------------------------------------
 
+def _write_vector(path: Path, x) -> None:
+    """One value per line, the bytes np.savetxt writes with its default format."""
+    path.write_text(("%.18e\n" * x.size) % tuple(x.tolist()))
+
+
 def write_problem(problem, out_dir) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -39,13 +44,13 @@ def write_problem(problem, out_dir) -> Path:
     meta.update(problem.descriptor())
     if isinstance(problem, OTProblem):
         scipy.io.mmwrite(out / "cost.mtx", problem.cost)
-        np.savetxt(out / "mu.txt", problem.mu)
-        np.savetxt(out / "nu.txt", problem.nu)
+        _write_vector(out / "mu.txt", problem.mu)
+        _write_vector(out / "nu.txt", problem.nu)
     else:
         scipy.io.mmwrite(out / "cost.mtx", problem.cost.to_sparse(),
                          symmetry="symmetric")
         if isinstance(problem, MaxCutProblem):
-            np.savetxt(out / "b.txt", problem.b)
+            _write_vector(out / "b.txt", problem.b)
     with open(out / "meta.json", "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -235,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     g = gen_kinds.add_parser("maxcut", help="random-graph cut relaxation")
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--p", type=float, default=None,
-                   help="edge probability, defaults to 3/n")
+                   help="edge probability, defaults to min(1, 3/n)")
     _add_gen_flags(g)
     g = gen_kinds.add_parser("ot-synthetic", help="random bright-square images")
     g.add_argument("--k", type=int, required=True, help="image side length")

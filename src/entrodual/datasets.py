@@ -21,7 +21,7 @@ from scipy.special import logsumexp
 
 from entrodual.operators import SymOperator
 from entrodual.problems import (MaxCutProblem, OTProblem, StrongPermSyncProblem,
-                                WeakPermSyncProblem)
+                                WeakPermSyncProblem, check_count)
 
 __all__ = ["gen_er_maxcut", "gen_synthetic_ot", "load_mnist_pair",
            "PermSynchModel", "gen_permsynch", "SinkhornResult",
@@ -32,20 +32,24 @@ IDX_IMAGE_MAGIC = 0x00000803
 
 def gen_er_maxcut(n: int, p: float | None = None, seed: int = 0,
                   beta: float = 10.0) -> MaxCutProblem:
-    """Random-graph cut relaxation: edges drawn independently, p defaults to 3/n."""
+    """Random-graph cut relaxation: independent edges, p defaults to min(1, 3/n)."""
+    check_count("n", n)
     if n < 2:
         raise ValueError("need at least two vertices")
     if p is None:
-        p = 3.0 / n
+        p = min(1.0, 3.0 / n)
     if not 0.0 <= p <= 1.0:
         raise ValueError("edge probability must lie in [0, 1]")
     rng = np.random.default_rng(seed)
     # the upper triangle of one row-major n x n uniform draw, taken in row
-    # chunks of about 2**18 entries so the draw never holds n x n floats
+    # chunks of about 2**18 entries so the draw never holds n x n floats;
+    # the flat hits come out in row-major order across chunks
     step = max(1, (1 << 18) // n)
-    chunks = [np.argwhere(np.triu(rng.random((min(step, n - r0), n)) < p, k=r0 + 1))
-              + [r0, 0] for r0 in range(0, n, step)]
-    rows, cols = np.concatenate(chunks).T
+    hits = np.concatenate([np.flatnonzero(rng.random((min(step, n - r0), n)) < p)
+                           + r0 * n for r0 in range(0, n, step)])
+    rows, cols = np.divmod(hits, n)
+    upper = cols > rows
+    rows, cols = rows[upper], cols[upper]
     deg = np.zeros(n)
     np.add.at(deg, rows, 1.0)
     np.add.at(deg, cols, 1.0)
@@ -144,6 +148,8 @@ class PermSynchModel:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("num_images", "keypoints", "registry"):
+            check_count(name, getattr(self, name))
         if self.num_images < 1 or self.keypoints < 1 or self.registry < 1:
             raise ValueError("counts must be positive")
         if self.keypoints > self.registry:
@@ -165,24 +171,19 @@ def gen_permsynch(model: PermSynchModel, beta: float, kind: str = "strong"):
         raise ValueError("kind must be 'strong' or 'weak'")
     rng = np.random.default_rng(model.seed)
     n_img, k = model.num_images, model.keypoints
-    ids = [rng.choice(model.registry, size=k, replace=False)
-           for _ in range(n_img)]
-    rows, cols = [], []
-    for i in range(n_img):
-        for j in range(i + 1, n_img):
-            li, lj = ids[i], ids[j]
-            if rng.random() < model.corruption:
-                li = li[rng.permutation(k)]
-                lj = lj[rng.permutation(k)]
-            pos = {label: q for q, label in enumerate(lj)}
-            for q, label in enumerate(li):
-                if label in pos:
-                    rows.append(i * k + q)
-                    cols.append(j * k + pos[label])
-    n = n_img * k
-    cost = SymOperator.from_triplets(n, np.array(rows, dtype=int),
-                                     np.array(cols, dtype=int),
-                                     -np.ones(len(rows)))
+    ids = np.array([rng.choice(model.registry, size=k, replace=False)
+                    for _ in range(n_img)])
+    # image pairs (i, j), i < j, in row-major order, with both sides' labels
+    first, second = np.triu_indices(n_img, 1)
+    left, right = ids[first], ids[second]
+    for pair in range(first.size):
+        if rng.random() < model.corruption:
+            left[pair] = left[pair][rng.permutation(k)]
+            right[pair] = right[pair][rng.permutation(k)]
+    # labels are distinct within an image, so each slot matches at most once
+    pair, q, r = np.nonzero(left[:, :, None] == right[:, None, :])
+    cost = SymOperator.from_triplets(n_img * k, first[pair] * k + q,
+                                     second[pair] * k + r, -np.ones(pair.size))
     if kind == "strong":
         return StrongPermSyncProblem(cost, n_img, k, beta)
     return WeakPermSyncProblem(cost, n_img, k, beta)

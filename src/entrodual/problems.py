@@ -200,6 +200,12 @@ class OTProblem:
                 "marginal_floor": self.marginal_floor}
 
 
+def check_count(name: str, value) -> None:
+    """Raise, naming the field, unless value is an integer; a bool is not."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class _SyncProblem(_GibbsProblem):
     """Shared data of the synchronization SDPs: N images of K keypoints each."""
@@ -211,9 +217,7 @@ class _SyncProblem(_GibbsProblem):
 
     def __post_init__(self):
         for name in ("num_images", "block_size"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            check_count(name, getattr(self, name))
         if self.num_images < 1 or self.block_size < 1:
             raise ValueError("block structure must be positive")
         if self.cost.n != self.num_images * self.block_size:

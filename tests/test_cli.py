@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 import scipy.io
 
-from entrodual.cli import load_problem, main, write_problem
-from entrodual.datasets import gen_er_maxcut, gen_permsynch, PermSynchModel
+from entrodual.cli import _write_vector, load_problem, main, write_problem
+from entrodual.datasets import (gen_er_maxcut, gen_permsynch, gen_synthetic_ot,
+                                PermSynchModel)
 from entrodual.problems import (MaxCutProblem, OTProblem,
                                 StrongPermSyncProblem, WeakPermSyncProblem)
 from entrodual.solver import SolverConfig, SolverTrace, certify_gradient_decay
@@ -63,6 +64,46 @@ class TestProblemDirs:
         again = load_problem(out)
         assert isinstance(again, StrongPermSyncProblem)
         assert again.beta == 1.5
+
+    def test_vector_bytes_are_savetxt_bytes(self, tmp_path):
+        x = np.array([1e-300, 1.0 - 2.0 ** -52, 5e-324, -0.0, 0.0, 1.0,
+                      -2.5, 1.7976931348623157e308, 1.0 / 3.0, 123456789.0])
+        _write_vector(tmp_path / "x.txt", x)
+        np.savetxt(tmp_path / "ref.txt", x)
+        assert (tmp_path / "x.txt").read_bytes() == (tmp_path / "ref.txt").read_bytes()
+        assert np.array_equal(np.loadtxt(tmp_path / "x.txt"), x)
+
+    @pytest.mark.parametrize("make", [
+        lambda: gen_er_maxcut(30, seed=1, beta=3.0),
+        lambda: gen_synthetic_ot(4, seed=2, beta=6.0),
+        lambda: gen_permsynch(PermSynchModel(4, 3, 6, 0.3, seed=1), 2.0, "strong"),
+        lambda: gen_permsynch(PermSynchModel(4, 3, 6, 0.3, seed=1), 2.0, "weak"),
+    ], ids=["maxcut", "ot", "ps-strong", "ps-weak"])
+    def test_every_kind_round_trips_exactly(self, tmp_path, make):
+        p = make()
+        out = write_problem(p, tmp_path / "dir")
+        again = load_problem(out)
+        assert type(again) is type(p)
+        assert again.descriptor() == p.descriptor()
+        if isinstance(p, OTProblem):
+            assert np.array_equal(again.cost, p.cost)
+            for name in ("mu", "nu"):
+                assert np.array_equal(getattr(again, name), getattr(p, name))
+                np.savetxt(tmp_path / "ref.txt", getattr(p, name))
+                assert ((out / f"{name}.txt").read_bytes()
+                        == (tmp_path / "ref.txt").read_bytes())
+        else:
+            assert np.array_equal(again.cost.to_dense(), p.cost.to_dense())
+        if isinstance(p, MaxCutProblem):
+            assert np.array_equal(again.b, p.b)
+            np.savetxt(tmp_path / "ref.txt", p.b)
+            assert (out / "b.txt").read_bytes() == (tmp_path / "ref.txt").read_bytes()
+
+    def test_two_vertex_maxcut_with_default_probability(self, tmp_path):
+        d = tmp_path / "mc"
+        assert run(["gen", "maxcut", "--n", 2, "--out", d]) == 0
+        assert np.array_equal(load_problem(d).cost.to_dense(),
+                              np.array([[-0.25, 0.25], [0.25, -0.25]]))
 
     def test_beta_override_on_load(self, tmp_path):
         d = tmp_path / "mc"

@@ -1,5 +1,6 @@
 """Generator tests: graph statistics, image recipes, IDX parsing, Sinkhorn oracle."""
 
+import hashlib
 import math
 import struct
 
@@ -9,8 +10,71 @@ import pytest
 from entrodual.datasets import (PermSynchModel, SinkhornResult, gen_er_maxcut,
                                 gen_permsynch, gen_synthetic_ot, grid_cost,
                                 load_mnist_pair, sinkhorn_reference)
+from entrodual.operators import SymOperator
 from entrodual.problems import (OTProblem, StrongPermSyncProblem,
                                 WeakPermSyncProblem)
+
+
+def assert_same_csr(a, b):
+    """Equal CSR arrays, dtypes included, not just equal matrices."""
+    for x, y in ((a.indptr, b.indptr), (a.indices, b.indices), (a.data, b.data)):
+        assert x.dtype == y.dtype and np.array_equal(x, y)
+
+
+def fingerprint(op):
+    """First 16 hex digits of sha256 over the CSR arrays as <i8, <i8, <f8."""
+    h = hashlib.sha256()
+    for arr, dtype in ((op.base.indptr, "<i8"), (op.base.indices, "<i8"),
+                       (op.base.data, "<f8")):
+        h.update(np.ascontiguousarray(arr, dtype=dtype).tobytes())
+    return h.hexdigest()[:16]
+
+
+def reference_maxcut_cost(n, p, seed):
+    """C = -L/4 from the upper triangle of one row-major n x n uniform draw."""
+    rows, cols = np.argwhere(
+        np.triu(np.random.default_rng(seed).random((n, n)) < p, k=1)).T
+    deg = np.bincount(np.concatenate([rows, cols]), minlength=n).astype(float)
+    return SymOperator.from_triplets(
+        n, np.concatenate([rows, np.arange(n)]),
+        np.concatenate([cols, np.arange(n)]),
+        np.concatenate([np.full(rows.size, 0.25), -deg / 4.0]))
+
+
+def reference_permsynch_cost(model):
+    """The per-pair loop the vectorized generator replaces, kept as reference."""
+    rng = np.random.default_rng(model.seed)
+    n_img, k = model.num_images, model.keypoints
+    ids = [rng.choice(model.registry, size=k, replace=False)
+           for _ in range(n_img)]
+    rows, cols = [], []
+    for i in range(n_img):
+        for j in range(i + 1, n_img):
+            li, lj = ids[i], ids[j]
+            if rng.random() < model.corruption:
+                li = li[rng.permutation(k)]
+                lj = lj[rng.permutation(k)]
+            pos = {label: q for q, label in enumerate(lj)}
+            for q, label in enumerate(li):
+                if label in pos:
+                    rows.append(i * k + q)
+                    cols.append(j * k + pos[label])
+    return SymOperator.from_triplets(n_img * k, np.array(rows, dtype=int),
+                                     np.array(cols, dtype=int),
+                                     -np.ones(len(rows)))
+
+
+# The benchmark's instances, fingerprinted before set-up was vectorized.
+@pytest.mark.parametrize("make, digest, nnz", [
+    (lambda: gen_er_maxcut(4000, seed=0), "80ed1d1d0196f5dd", 16190),
+    (lambda: gen_er_maxcut(200, seed=0), "deb7d957dc2421be", 788),
+    (lambda: gen_permsynch(PermSynchModel(100, 10, 50, 0.15, seed=0), 1.0,
+                           "strong"), "81f8eedcf3c5bef4", 19722),
+], ids=["maxcut-n4000", "maxcut-n200", "ps-strong-n100"])
+def test_benchmark_instance_fingerprints(make, digest, nnz):
+    cost = make().cost
+    assert cost.base.nnz == nnz
+    assert fingerprint(cost) == digest
 
 
 class TestErMaxCut:
@@ -42,6 +106,30 @@ class TestErMaxCut:
         upper = np.triu(np.random.default_rng(3).random((n, n)) < prob, k=1)
         c = gen_er_maxcut(n, prob, seed=3).cost.to_dense()
         assert np.array_equal(np.triu(c, k=1) != 0.0, upper)
+
+    @pytest.mark.parametrize("n, prob, seed", [
+        (5, 0.0, 1), (40, 1.0, 2), (200, 0.015, 0),
+        # 886 rows in chunks of 295: the last chunk is one row
+        (886, 0.01, 4), (886, 1.0, 4)])
+    def test_csr_matches_one_full_draw_reference(self, n, prob, seed):
+        assert_same_csr(gen_er_maxcut(n, prob, seed=seed).cost.base,
+                        reference_maxcut_cost(n, prob, seed).base)
+
+    def test_two_vertices_default_is_one_edge(self):
+        p = gen_er_maxcut(2)
+        lap = np.array([[1.0, -1.0], [-1.0, 1.0]])
+        assert np.array_equal(p.cost.to_dense(), -lap / 4.0)
+        assert np.array_equal(p.b, np.full(2, 0.5))
+
+    @pytest.mark.parametrize("n", [40.0, True, "40", np.float64(40.0)],
+                             ids=["float", "bool", "str", "numpy-float"])
+    def test_non_integer_count_rejected(self, n):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            gen_er_maxcut(n)
+
+    def test_numpy_integer_count_accepted(self):
+        a, b = gen_er_maxcut(np.int64(40), seed=7), gen_er_maxcut(40, seed=7)
+        assert_same_csr(a.cost.base, b.cost.base)
 
     def test_default_probability_and_determinism(self):
         a = gen_er_maxcut(40, seed=7)
@@ -178,6 +266,31 @@ class TestPermSynch:
             PermSynchModel(3, 2, 4, 1.5)
         with pytest.raises(ValueError, match="positive"):
             PermSynchModel(0, 2, 4, 0.5)
+
+    @pytest.mark.parametrize("field, counts", [
+        ("num_images", (10.0, 3, 5)), ("num_images", (True, 3, 5)),
+        ("keypoints", (4, 3.0, 5)), ("keypoints", (4, True, 5)),
+        ("registry", (4, 3, 5.0)), ("registry", (4, 1, True))],
+        ids=["images-float", "images-bool", "keypoints-float", "keypoints-bool",
+             "registry-float", "registry-bool"])
+    def test_non_integer_counts_rejected(self, field, counts):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            PermSynchModel(*counts, 0.1)
+
+    @pytest.mark.parametrize("model", [
+        PermSynchModel(6, 4, 9, 0.0, seed=3),
+        PermSynchModel(6, 4, 9, 1.0, seed=3),
+        PermSynchModel(5, 1, 3, 0.5, seed=1),
+        PermSynchModel(1, 3, 5, 0.5, seed=2),
+        PermSynchModel(2, 3, 5, 1.0, seed=2),
+        PermSynchModel(7, 4, 4, 0.4, seed=6),
+        PermSynchModel(20, 10, 30, 0.3, seed=8),
+    ], ids=["clean", "all-corrupted", "one-keypoint", "one-image",
+            "two-images", "registry-equals-keypoints", "mixed"])
+    def test_csr_matches_per_pair_loop_reference(self, model):
+        for kind in ("strong", "weak"):
+            assert_same_csr(gen_permsynch(model, 1.0, kind).cost.base,
+                            reference_permsynch_cost(model).base)
 
     def test_uncorrupted_shared_registry_gives_permutations(self):
         model = PermSynchModel(num_images=4, keypoints=3, registry=3,
