@@ -5,10 +5,13 @@ symmetric CSR matrix. Shifting the cost by a dual point is one folded() write
 of alpha (cost + diagonal + block diagonal) + shift I into a pattern cached per
 cost, and the result keeps its own pattern, so expm_action folds in the
 Chebyshev affine map with one more write and each term of the recurrence costs
-a single product. A wide probe block runs through the recurrence in column
-blocks of about 2**17 entries (1 MiB) per array, shared out over one thread
-per usable core; each column is computed on its own, so the result equals a
-single-block evaluation bit for bit."""
+a single product. The recurrence runs in the precision of the block it is
+given: float32 for a float32 block, truncated at float32 roundoff, and float64
+for anything else. Its output is always float64. A wide probe block runs
+through the recurrence in column blocks of about 2**17 entries per array,
+shared out over one thread per usable core; each column is computed on its
+own, so within one precision the result equals a single-block evaluation bit
+for bit."""
 
 from __future__ import annotations
 
@@ -21,7 +24,7 @@ from typing import Optional
 import numpy as np
 import scipy.io
 import scipy.sparse as sp
-from scipy.linalg.blas import daxpy, dgemv
+from scipy.linalg.blas import daxpy, dgemv, get_blas_funcs
 from scipy.linalg.lapack import dstemr
 from scipy.sparse import _sparsetools
 from scipy.special import ive
@@ -124,21 +127,28 @@ class SymOperator:
     def apply(self, v: np.ndarray, into: Optional[np.ndarray] = None) -> np.ndarray:
         """Matrix-vector (or matrix-block) product. v is (n,) or (n, S).
 
-        With into, the product is added to into in place and into is returned.
-        The CSR kernel writes into's raw memory, so into must be a writeable,
-        C-contiguous float64 array of v's shape that does not overlap v.
+        The product is computed in the dtype of the CSR matrix, and v must
+        have that dtype. With into, the product is added to into in place
+        and into is returned. The CSR kernel writes into's raw memory, so
+        into must be a writeable, C-contiguous array of v's shape and dtype
+        that does not overlap v. A v or into of another dtype raises rather
+        than being cast into a temporary.
         """
         m = self.base
-        v = np.ascontiguousarray(v, dtype=float)
+        v = np.ascontiguousarray(v)
+        if v.dtype != m.data.dtype:
+            raise ValueError(f"v is {v.dtype} but the operator is {m.data.dtype}")
         if v.ndim not in (1, 2) or v.shape[0] != self.n:
             raise ValueError(f"expected ({self.n},) or ({self.n}, S) input, got {v.shape}")
         if into is None:
-            into = np.zeros(v.shape)
-        elif not (isinstance(into, np.ndarray) and into.dtype == np.float64
-                  and into.shape == v.shape and into.flags.c_contiguous
-                  and into.flags.writeable and not np.may_share_memory(into, v)):
-            raise ValueError(f"into must be a writeable C-contiguous float64 {v.shape} "
-                             "array apart from the input")
+            into = np.zeros(v.shape, dtype=v.dtype)
+        elif isinstance(into, np.ndarray) and into.dtype != v.dtype:
+            raise ValueError(f"into is {into.dtype} but the operator is {v.dtype}")
+        elif not (isinstance(into, np.ndarray) and into.shape == v.shape
+                  and into.flags.c_contiguous and into.flags.writeable
+                  and not np.may_share_memory(into, v)):
+            raise ValueError(f"into must be a writeable C-contiguous {v.dtype} "
+                             f"{v.shape} array apart from the input")
         if v.ndim == 1:
             _sparsetools.csr_matvec(self.n, self.n, m.indptr, m.indices, m.data, v, into)
         else:
@@ -316,17 +326,18 @@ def spectral_bounds(op: SymOperator, *, margin: float = 0.05, tol: float = 1e-2,
     return SpectralInterval(float(lo - pad), float(hi + pad), certified=converged)
 
 
-def _chebyshev_degree(half_width: float, tol: float) -> np.ndarray:
+def _chebyshev_degree(half_width: float, tol: float, dtype=np.float64) -> np.ndarray:
     """Scaled Chebyshev coefficients of exp on the given half-width, truncated.
 
     Returns q with q[0] = I_0(h) e^{-h} and q[k] = 2 I_k(h) e^{-h}; the full
-    series sums to 1 and the dropped tail is below a small fraction of tol.
+    series sums to 1 and the dropped tail is below max(tol * 1e-3, eps), eps
+    the roundoff of dtype: a tail below it would be lost in the recurrence.
     """
     h = half_width
     kmax = int(np.ceil(h + 12.0 * np.sqrt(h + 4.0) + 60.0))
     q = ive(np.arange(kmax + 1), h)
     q[1:] *= 2.0
-    target = max(tol * 1e-3, 2e-17)
+    target = max(tol * 1e-3, np.finfo(dtype).eps)
     tail = 1.0 - np.cumsum(q)
     keep = np.nonzero(tail <= target)[0]
     d = int(keep[0]) + 2 if keep.size else kmax
@@ -337,30 +348,32 @@ def _clenshaw(double: SymOperator, q: np.ndarray, z: np.ndarray, b1: np.ndarray,
               b2: np.ndarray) -> np.ndarray:
     """Twice sum_k q_k T_k(double / 2) z by Clenshaw, returned in b1 or b2.
 
-    z, b1 and b2 share one C-contiguous shape; b1 and b2 are scratch. Every
-    step treats each column of z on its own.
+    z, b1 and b2 share one C-contiguous shape and the dtype of double and q;
+    b1 and b2 are scratch. Every step treats each column of z on its own.
     """
     flat = z.reshape(-1)
+    axpy = get_blas_funcs("axpy", dtype=z.dtype)
     # b_k = q_k z + double b_{k+1} - b_{k+2}, written over b_{k+2}; the top
     # term is b_K = q_K z since b_{K+1} = b_{K+2} = 0
     np.multiply(z, q[-1], out=b1)
     b2.fill(0.0)
     for k in range(len(q) - 2, 0, -1):
         np.negative(b2, out=b2)
-        daxpy(flat, b2.reshape(-1), a=q[k])
+        axpy(flat, b2.reshape(-1), a=q[k])
         double.apply(b1, into=b2)
         b1, b2 = b2, b1
     # 2 y = 2 q_0 z + double b_1 - 2 b_2
     b2 *= -2.0
-    daxpy(flat, b2.reshape(-1), a=2.0 * q[0])
+    axpy(flat, b2.reshape(-1), a=2.0 * q[0])
     return double.apply(b1, into=b2)
 
 
 def _clenshaw_lane(double: SymOperator, q: np.ndarray, factor: float, z: np.ndarray,
                    out: np.ndarray, blocks, buffers) -> None:
     """Write factor times _clenshaw of each column block of z taken from the
-    shared iterator blocks into those columns of out, using the three flat
-    buffers (z block, b1, b2) and allocating nothing of block size."""
+    shared iterator blocks into those columns of the float64 out, using the
+    three flat buffers (z block, b1, b2) of z's dtype and allocating nothing
+    of block size."""
     n = z.shape[0]
     for cols in blocks:
         zb, b1, b2 = (buf[: n * (cols.stop - cols.start)].reshape(n, -1)
@@ -369,8 +382,8 @@ def _clenshaw_lane(double: SymOperator, q: np.ndarray, factor: float, z: np.ndar
         np.multiply(_clenshaw(double, q, zb, b1, b2), factor, out=out[:, cols])
 
 
-# float64 entries per column-block array (1 MiB), so that z, b1 and b2 of a
-# block stay in a core's L2 cache through every term of the recurrence
+# entries per column-block array (1 MiB in float64), so that z, b1 and b2 of
+# a block stay in a core's L2 cache through every term of the recurrence
 _BLOCK_ENTRIES = 2**17
 # one lane per usable core; the CSR kernel, numpy's ufuncs and BLAS release
 # the GIL, so the lanes run in parallel. Threads start on the first submit.
@@ -393,41 +406,49 @@ def expm_action(op: SymOperator, interval: SpectralInterval, z: np.ndarray,
     callers that need normalized output should choose shift so the top is
     near zero (the shift factors out).
 
+    The precision follows z. A float32 z runs the recurrence in float32,
+    with the folded operator cast to float32 once per call and the series
+    truncated at float32 roundoff (about 1.2e-7) when that exceeds
+    tol * 1e-3; any other z runs in float64, truncated at tol * 1e-3. The
+    result is float64 either way, as is the scaled z of a zero-width
+    interval.
+
     A 2-d z wider than ceil(_BLOCK_ENTRIES / n) columns (about 2**17
-    entries, 1 MiB, per array) runs the whole recurrence one such column
-    block at a time, so a block's arrays stay in a core's cache, and the
-    blocks are shared out over one thread per usable core. Narrower input
-    runs as one block in the calling thread. Each column is computed on its
-    own, so every column of the result equals, bit for bit, that column
-    evaluated alone.
+    entries per array) runs the whole recurrence one such column block at a
+    time, so a block's arrays stay in a core's cache, and the blocks are
+    shared out over one thread per usable core. Narrower input runs as one
+    block in the calling thread. Each column is computed on its own, so
+    every column of the result equals, bit for bit, that column evaluated
+    alone in the same precision.
     """
     if not 0.0 < tol < 1.0:
         raise ValueError("tol must lie in (0, 1)")
-    z = np.ascontiguousarray(z, dtype=float)
+    z = np.asarray(z)
+    z = np.ascontiguousarray(z, dtype=np.float32 if z.dtype == np.float32 else np.float64)
     lo, hi = sorted((scale * interval.lo + shift, scale * interval.hi + shift))
     if not (np.isfinite(lo) and np.isfinite(hi)):
         raise ValueError(f"mapped interval [{lo}, {hi}] is not finite")
     c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    out = np.empty(z.shape)
     if h <= 1e-14 * max(1.0, abs(c)):
-        return np.exp(c) * z
-    q = _chebyshev_degree(h, tol)
-    # twice the affine map (scale * op + (shift - c) I) / h, folded once
-    double = op.folded(2.0 * scale / h, 2.0 * (shift - c) / h)
+        return np.multiply(z, np.exp(c), out=out)
+    q = _chebyshev_degree(h, tol, z.dtype).astype(z.dtype)
+    # twice the affine map (scale * op + (shift - c) I) / h, folded once, in z's dtype
+    double = SymOperator(op.folded(2.0 * scale / h, 2.0 * (shift - c) / h).base
+                         .astype(z.dtype, copy=False))
     factor = 0.5 * np.exp(c + h)
     n, s = z.shape[0], (z.shape[1] if z.ndim == 2 else 1)
     width = -(-_BLOCK_ENTRIES // n)
     if width >= s:
         y = _clenshaw(double, q, z, np.empty_like(z), np.empty_like(z))
-        y *= factor
-        return y
-    out = np.empty_like(z)
+        return np.multiply(y, factor, out=out)
     blocks = [slice(j, min(j + width, s)) for j in range(0, s, width)]
     # next() on a list iterator is one atomic step under the GIL, so the lanes
     # share it without a lock; every buffer is allocated here, in the calling
     # thread, since per-thread malloc arenas would raise the peak footprint
     shared = iter(blocks)
     lanes = [_POOL.submit(_clenshaw_lane, double, q, factor, z, out, shared,
-                          [np.empty(n * width) for _ in range(3)])
+                          [np.empty(n * width, dtype=z.dtype) for _ in range(3)])
              for _ in range(min(_LANES, len(blocks)))]
     # no lane may still write into out once an error propagates
     wait(lanes)

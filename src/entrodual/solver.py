@@ -7,9 +7,11 @@ fresh batch per iteration. On the probe path every iteration encloses the
 spectrum of its shifted cost with a short Lanczos run, so the probe images
 stay O(||z||) at any beta. An uncertified interval, or a batch whose images
 grew (which a lower end at or below the smallest eigenvalue rules out), is
-redone on the Gershgorin interval; a batch whose images shrank below the
-Chebyshev error raises. TRACE_COLUMNS is the one trace.csv schema: the
-writer, the reader, solve() and the averaged experiment curves walk it.
+redone on the Gershgorin interval. Batches run in float32; one whose images
+shrank below float32 roundoff is redone in float64, and one whose images
+shrank below the float64 Chebyshev error raises. TRACE_COLUMNS is the one
+trace.csv schema: the writer, the reader, solve() and the averaged experiment
+curves walk it.
 """
 
 from __future__ import annotations
@@ -238,6 +240,11 @@ def _git_describe() -> str:
         return "unknown"
 
 
+# smallest batch mass, per unit of n S, that each precision of probe_gibbs serves
+_FLOAT32_FLOOR = (float(np.finfo(np.float32).eps) / 1e-4) ** 2  # about 1.4e-6
+_FLOAT64_FLOOR = 1e-14
+
+
 def _probe_batch(op, beta: float, z: np.ndarray, seed: int):
     """Probe images of exp(-(beta/2) op) on a tight interval, checked.
 
@@ -246,20 +253,34 @@ def _probe_batch(op, beta: float, z: np.ndarray, seed: int):
     probe and the mass is at most ||z||^2, which is n S for Rademacher
     probes. An uncertified Lanczos interval, or a batch above that ceiling,
     is redone on the Gershgorin interval [-R, R] with R the largest absolute
-    row sum; a batch that still exceeds it raises. So does a batch whose mass
-    is below 1e-14 n S: the Chebyshev series is truncated at 1e-11 per unit of
-    probe length, which there exceeds sqrt(1e-8) of the images. A wider
-    interval would only shrink them further, so that batch is not redone.
+    row sum; a batch that still exceeds it raises. The ceiling's 1e-6 slack
+    covers float32 roundoff in the mass, which stays below 1e-7 n S at any
+    width: an image near its probe's length needs only a few terms.
+
+    The batch runs in float32, where probe_gibbs truncates the series at
+    float32 roundoff, about 1.2e-7 per unit of probe length. A batch whose
+    mass is below (1.2e-7 / sqrt(1e-8))^2 = 1.4e-6 n S, where that error
+    exceeds sqrt(1e-8) of the images, is redone once in float64 on the same
+    interval. A float64 batch below 1e-14 n S raises: its series is truncated
+    at 1e-11 per unit of probe length, which there exceeds sqrt(1e-8) of the
+    images. A wider interval would only shrink them further, so that batch
+    is not redone.
     """
-    ceiling, floor = z.size * (1.0 + 1e-6), z.size * 1e-14
+    ceiling = z.size * (1.0 + 1e-6)
+    # signs are exact in float32; rebinding z releases the caller's float64 block
+    z = z.astype(np.float32)
     interval = spectral_bounds(op, seed=seed)
     batch = probe_gibbs(op, beta, interval, z) if interval.certified else None
     if batch is None or not batch.mass <= ceiling:
         r = op.inf_norm_bound()
-        batch = probe_gibbs(op, beta, SpectralInterval(-r, r), z)
+        interval = SpectralInterval(-r, r)
+        batch = probe_gibbs(op, beta, interval, z)
         if not batch.mass <= ceiling:
             raise FloatingPointError(f"probe mass {batch.mass:.6g} exceeds n S = "
                                      f"{z.size} on the Gershgorin interval")
+    if batch.mass < _FLOAT32_FLOOR * z.size:
+        batch = probe_gibbs(op, beta, interval, z.astype(float))
+    floor = _FLOAT64_FLOOR * z.size
     if batch.mass < floor:
         raise FloatingPointError(f"probe mass {batch.mass:.6g} is below 1e-14 n S = "
                                  f"{floor:.6g}, where the Chebyshev error is "
@@ -297,9 +318,9 @@ def solve(problem, config: SolverConfig,
             if exact:
                 grad, record["dual_objective"][t] = problem.dense_eval(lam)
             else:
-                z = draw_probes(problem.dimension, samples, config.seed, t)
                 batch = _probe_batch(problem.shifted_operator(lam), problem.beta,
-                                     z, config.seed)
+                                     draw_probes(problem.dimension, samples, config.seed, t),
+                                     config.seed)
                 grad = problem.stochastic_gradient(batch)
             feas = record["feasibility"][t] = problem.feasibility_error(grad)
             gnorm = record["grad_dual_norm"][t] = dual_norm(family, grad)

@@ -165,6 +165,28 @@ class TestAccumulateApply:
             op.apply(v, into=into)
         np.testing.assert_array_equal(into, before)
 
+    def test_computes_in_the_operator_dtype_and_rejects_any_other(self):
+        rng = np.random.default_rng(33)
+        a = random_symmetric(rng, 6)
+        op64 = SymOperator.from_dense(a)
+        op32 = SymOperator(sp.csr_array(a.astype(np.float32)))
+        v = rng.standard_normal((6, 4))
+        got = op32.apply(v.astype(np.float32))
+        assert got.dtype == np.float32
+        np.testing.assert_allclose(got, a @ v, rtol=1e-5, atol=1e-5)
+        into = np.zeros((6, 4), dtype=np.float32)
+        assert op32.apply(v.astype(np.float32), into=into) is into
+        for op, vec, target, wrong, right in [
+                (op64, v.astype(np.float32), None, "v is float32", "float64"),
+                (op32, v, None, "v is float64", "float32"),
+                (op64, v, np.zeros((6, 4), dtype=np.float32), "into is float32", "float64"),
+                (op32, v.astype(np.float32), np.zeros((6, 4)), "into is float64", "float32")]:
+            before = None if target is None else target.copy()
+            with pytest.raises(ValueError, match=f"{wrong} but the operator is {right}"):
+                op.apply(vec, into=target)
+            if target is not None:
+                np.testing.assert_array_equal(target, before)
+
     def test_rejects_a_short_vector_target(self):
         op = SymOperator.from_dense(np.eye(6))
         with pytest.raises(ValueError, match="into"):
@@ -432,6 +454,29 @@ class TestFoldedKernel:
 
 
 @pytest.mark.parametrize("family", ["maxcut", "strong", "weak"])
+@pytest.mark.parametrize("base_kind", ["dense", "sparse"])
+def test_float32_expm_action_is_float64_to_float32_accuracy(base_kind, family):
+    """A float32 block runs the recurrence in float32, truncated at float32
+    roundoff, and comes back as float64 within 1e-5 of the float64 result
+    (measured at most 6e-7 on the pinned workloads)."""
+    rng = np.random.default_rng(29)
+    op, _ = shifted_case(base_kind, family, rng)
+    z = rng.choice([-1.0, 1.0], size=(NB * K, 6))
+    iv = spectral_bounds(op, seed=4)
+    for kw in (dict(), dict(scale=-1.5, shift=1.5 * iv.lo)):
+        want = expm_action(op, iv, z, tol=1e-12, **kw)
+        got = expm_action(op, iv, z.astype(np.float32), tol=1e-12, **kw)
+        assert got.dtype == np.float64
+        assert np.linalg.norm(got - want) <= 1e-5 * np.linalg.norm(want)
+    # the float32 series stops at float32 roundoff, not at tol * 1e-3
+    assert len(operators._chebyshev_degree(2.0, 1e-12, np.float32)) < len(
+        operators._chebyshev_degree(2.0, 1e-12))
+    flat = expm_action(op, SpectralInterval(0.6, 0.6), z.astype(np.float32))
+    assert flat.dtype == np.float64
+    np.testing.assert_array_equal(flat, np.exp(0.6) * z)
+
+
+@pytest.mark.parametrize("family", ["maxcut", "strong", "weak"])
 def test_expm_action_on_shifted_cost_builds_no_pattern(monkeypatch, family):
     """The shifted operator keeps the pattern it was written into, so the
     Chebyshev fold inside expm_action reuses it."""
@@ -463,21 +508,24 @@ def large_shifted_operator(family, rng):
 
 
 class TestColumnBlocks:
+    @pytest.mark.parametrize("dtype, accuracy", [(np.float64, 1e-10), (np.float32, 1e-5)])
     @pytest.mark.parametrize("family", ["maxcut", "strong", "weak"])
-    def test_block_split_changes_no_bits(self, family):
+    def test_block_split_changes_no_bits(self, family, dtype, accuracy):
         rng = np.random.default_rng(26)
         op = large_shifted_operator(family, rng)
         s = 300
         width = -(-operators._BLOCK_ENTRIES // op.n)
         assert s > 2 * width and s % width, "S must span three blocks, the last ragged"
-        z = rng.choice([-1.0, 1.0], size=(op.n, s))
+        z = rng.choice([-1.0, 1.0], size=(op.n, s)).astype(dtype)
         iv = spectral_bounds(op, seed=5)
         kw = dict(tol=1e-12, scale=-1.5, shift=1.5 * iv.lo)
         y = expm_action(op, iv, z, **kw)
+        assert y.dtype == np.float64
         for j in range(s):
             np.testing.assert_array_equal(y[:, j], expm_action(op, iv, z[:, j:j + 1], **kw)[:, 0])
-        want = expm_multiply(-1.5 * (op.to_sparse() - iv.lo * sp.eye_array(op.n)), z)
-        assert np.linalg.norm(y - want) <= 1e-10 * np.linalg.norm(want)
+        want = expm_multiply(-1.5 * (op.to_sparse() - iv.lo * sp.eye_array(op.n)),
+                             z.astype(float))
+        assert np.linalg.norm(y - want) <= accuracy * np.linalg.norm(want)
 
     def test_more_lanes_than_cores_compute_every_column_once(self, monkeypatch):
         rng = np.random.default_rng(28)
@@ -497,10 +545,12 @@ class TestColumnBlocks:
             sys.setswitchinterval(interval)
             operators._POOL.shutdown()
 
-    def test_worker_error_reaches_the_caller_and_leaves_the_pool_working(self, monkeypatch):
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_worker_error_reaches_the_caller_and_leaves_the_pool_working(self, monkeypatch,
+                                                                         dtype):
         rng = np.random.default_rng(27)
         op = large_shifted_operator("maxcut", rng)
-        z = rng.choice([-1.0, 1.0], size=(op.n, 300))
+        z = rng.choice([-1.0, 1.0], size=(op.n, 300)).astype(dtype)
         iv = spectral_bounds(op, seed=6)
         healthy = expm_action(op, iv, z)
         apply, block_calls, lock = SymOperator.apply, itertools.count(1), threading.Lock()

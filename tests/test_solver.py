@@ -11,14 +11,14 @@ from scipy.optimize import minimize
 from scipy.special import logsumexp
 
 from entrodual.norms import dual_norm, primal_norm
-from entrodual.datasets import gen_er_maxcut
+from entrodual.datasets import PermSynchModel, gen_er_maxcut, gen_permsynch
 from entrodual.operators import SpectralInterval, SymOperator, spectral_bounds
 from entrodual.probes import draw_probes, probe_gibbs
 from entrodual import solver as solver_module
 from entrodual.problems import (MaxCutProblem, OTProblem, StrongPermSyncProblem,
                                 WeakPermSyncProblem)
-from entrodual.solver import (CertificateReport, SolverConfig, certify_gradient_decay,
-                              solve)
+from entrodual.solver import (TRACE_COLUMNS, CertificateReport, SolverConfig,
+                              certify_gradient_decay, solve)
 
 
 def random_maxcut(n, beta, seed=0):
@@ -220,7 +220,8 @@ class TestStochasticPath:
         cfg = SolverConfig(iters=1, samples=24, seed=4)
         tr = solve(p, cfg)
         op = p.shifted_operator(np.zeros(9))
-        z = draw_probes(9, 24, 4, 0)
+        # the solver hands probe_gibbs its probes in float32
+        z = draw_probes(9, 24, 4, 0).astype(np.float32)
         batch = probe_gibbs(op, 3.0, spectral_bounds(op, seed=4), z)
         grad = p.stochastic_gradient(batch)
         assert tr.feasibility[0] == pytest.approx(p.feasibility_error(grad), abs=1e-14)
@@ -267,24 +268,40 @@ class TestProbeInterval:
     def test_bad_interval_falls_back_to_gershgorin(self, monkeypatch, certified):
         p = random_maxcut(12, beta=3.0, seed=5)
         cfg = SolverConfig(iters=4, samples=32, seed=2)
-        want = self.gradients(p, cfg)
         used = []
 
         def spy(op, beta, interval, z):
-            used.append((interval.lo, interval.hi, op.inf_norm_bound()))
-            return probe_gibbs(op, beta, interval, z)
+            batch = probe_gibbs(op, beta, interval, z)
+            used.append((interval.lo, interval.hi, op.inf_norm_bound(), z.dtype,
+                         batch.mass / z.size))
+            return batch
 
-        monkeypatch.setattr(solver_module, "spectral_bounds", self.narrow(certified))
         monkeypatch.setattr(solver_module, "probe_gibbs", spy)
+        want = self.gradients(p, cfg)
+        assert all(dtype == np.float32 for *_, dtype, _ in used)
+        want_mass = min(m for *_, m in used)
+        used.clear()
+        monkeypatch.setattr(solver_module, "spectral_bounds", self.narrow(certified))
         got = self.gradients(p, cfg)
         # an uncertified interval is never used; a certified one that is too
-        # narrow is tried, its images grow, and the batch is redone
-        tries = 2 if certified else 1
+        # narrow is tried, its images grow, and the batch is redone in float32
+        # on the Gershgorin interval. Its images shrink below float32
+        # roundoff there, so it is redone once more in float64.
+        tries = 3 if certified else 2
         assert len(used) == tries * cfg.iters
-        for lo, hi, r in used[tries - 1::tries]:
-            assert (lo, hi) == (-r, r)
-        # both intervals enclose the spectrum: probe_gibbs's 1e-8 tolerance
-        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-8)
+        for j in range(0, len(used), tries):
+            (lo32, hi32, r, dtype32, _), (lo, hi, _, dtype, _) = used[j + tries - 2:j + tries]
+            assert (lo32, hi32) == (lo, hi) == (-r, r)
+            assert (dtype32, dtype) == (np.float32, np.float64)
+        got_mass = min(m for *_, m in used)
+        # both intervals enclose the spectrum. A batch of mass m n S whose
+        # images are off by at most e per unit of probe length has a relative
+        # mass error of at most 2 e / sqrt(m), and its gradient r / mass an l1
+        # error of at most twice that. Here e is float32 roundoff on the
+        # float32 batch and the 1e-11 truncation target on the float64 one.
+        eps = float(np.finfo(np.float32).eps)
+        bound = 4.0 * (eps / math.sqrt(want_mass) + 1e-11 / math.sqrt(got_mass))
+        assert np.abs(got - want).sum(axis=1).max() <= bound
 
     def test_batch_that_still_grows_raises(self, monkeypatch):
         p = random_maxcut(12, beta=3.0, seed=5)
@@ -323,6 +340,83 @@ class TestProbeInterval:
             return
         with pytest.raises(RuntimeError, match="iteration 0: .*probe mass"):
             solve(p, cfg)
+
+
+def float64_trace(problem, cfg):
+    """The stochastic solve run by hand in float64 from the public pieces:
+    draw_probes, probe_gibbs on the Lanczos interval, stochastic_gradient and
+    update. Returns the trace.csv columns but wall_ms, and the best row."""
+    family, lam, eta = problem.norm_family(), problem.initial_dual(), cfg.resolve(problem)
+    cols = []
+    for t in range(cfg.iters):
+        op = problem.shifted_operator(lam)
+        interval = spectral_bounds(op, seed=cfg.seed)
+        z = draw_probes(problem.dimension, cfg.samples, cfg.seed, t)
+        batch = probe_gibbs(op, problem.beta, interval, z)
+        # the solver's first rung: a certified interval and a batch that
+        # neither grew nor fell below the float32 floor
+        assert interval.certified
+        assert solver_module._FLOAT32_FLOOR <= batch.mass / z.size <= 1.0
+        grad = problem.stochastic_gradient(batch)
+        new_lam = problem.update(lam, grad, eta)
+        cols.append((t, problem.feasibility_error(grad), dual_norm(family, grad), math.nan,
+                     primal_norm(family, family.diff(new_lam, lam))))
+        lam = new_lam
+    cols = np.array(cols).T
+    return cols, int(np.argmin(cols[2]))
+
+
+class TestPrecisionLadder:
+    """solve() runs each probe batch in float32 and redoes it in float64 only
+    when its mass falls below the float32 floor."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        calls = []
+
+        def spy(op, beta, interval, z):
+            batch = probe_gibbs(op, beta, interval, z)
+            calls.append((interval, z.dtype, batch.mass / z.size))
+            return batch
+
+        monkeypatch.setattr(solver_module, "probe_gibbs", spy)
+        return calls
+
+    @pytest.mark.parametrize("beta", [1e-9, 1e-4, 3.0])
+    def test_batch_above_the_float32_floor_costs_one_float32_call(self, monkeypatch, beta):
+        # at small beta every image is nearly its probe and the mass nearly
+        # n S: float32 roundoff must stay inside the ceiling's 1e-6 slack
+        calls = self.spy(monkeypatch)
+        p = random_maxcut(12, beta=beta, seed=5)
+        solve(p, SolverConfig(iters=4, samples=32, seed=2))
+        assert [dtype for _, dtype, _ in calls] == [np.float32] * 4
+        assert all(interval.certified for interval, _, _ in calls)
+        assert min(mass for *_, mass in calls) >= solver_module._FLOAT32_FLOOR
+
+    def test_batch_below_the_float32_floor_is_redone_in_float64(self, monkeypatch):
+        calls = self.spy(monkeypatch)
+        # the beta = 200 case of test_probe_mass_below_the_chebyshev_floor_raises
+        p = gen_er_maxcut(200, seed=0, beta=200.0)
+        assert len(solve(p, SolverConfig(iters=1, samples=400))) == 1
+        (interval32, dtype32, mass32), (interval64, dtype64, mass64) = calls
+        assert (dtype32, dtype64) == (np.float32, np.float64)
+        assert interval32 == interval64 and interval32.certified
+        assert mass32 < solver_module._FLOAT32_FLOOR
+        assert mass64 >= solver_module._FLOAT64_FLOOR
+
+    @pytest.mark.parametrize("make", [
+        lambda: gen_er_maxcut(300, seed=3, beta=10.0),
+        lambda: gen_permsynch(PermSynchModel(12, 4, 6, 0.15, seed=0), 1.0, "strong")],
+        ids=["maxcut", "ps-strong"])
+    def test_trace_stays_within_float32_tolerance_of_float64(self, make):
+        p = make()
+        cfg = SolverConfig(iters=20, samples=p.default_sample_count(), seed=1)
+        tr = solve(p, cfg)
+        want, best = float64_trace(p, cfg)
+        got = np.array([getattr(tr, field) for _, field, _, _ in TRACE_COLUMNS
+                        if field != "wall_ms"])
+        np.testing.assert_allclose(got, want, rtol=1e-6, atol=0.0)
+        assert tr.best_iteration == best
 
 
 class TestDescentInvariants:
