@@ -508,24 +508,26 @@ def large_shifted_operator(family, rng):
 
 
 class TestColumnBlocks:
-    @pytest.mark.parametrize("dtype, accuracy", [(np.float64, 1e-10), (np.float32, 1e-5)])
     @pytest.mark.parametrize("family", ["maxcut", "strong", "weak"])
-    def test_block_split_changes_no_bits(self, family, dtype, accuracy):
+    def test_block_split_changes_no_bits(self, family):
         rng = np.random.default_rng(26)
         op = large_shifted_operator(family, rng)
         s = 300
         width = -(-operators._BLOCK_ENTRIES // op.n)
         assert s > 2 * width and s % width, "S must span three blocks, the last ragged"
-        z = rng.choice([-1.0, 1.0], size=(op.n, s)).astype(dtype)
+        signs = rng.choice([-1.0, 1.0], size=(op.n, s))
         iv = spectral_bounds(op, seed=5)
         kw = dict(tol=1e-12, scale=-1.5, shift=1.5 * iv.lo)
-        y = expm_action(op, iv, z, **kw)
-        assert y.dtype == np.float64
-        for j in range(s):
-            np.testing.assert_array_equal(y[:, j], expm_action(op, iv, z[:, j:j + 1], **kw)[:, 0])
-        want = expm_multiply(-1.5 * (op.to_sparse() - iv.lo * sp.eye_array(op.n)),
-                             z.astype(float))
-        assert np.linalg.norm(y - want) <= accuracy * np.linalg.norm(want)
+        want = expm_multiply(-1.5 * (op.to_sparse() - iv.lo * sp.eye_array(op.n)), signs)
+        # each precision is bit-stable under the split on its own
+        for dtype, accuracy in ((np.float64, 1e-10), (np.float32, 1e-5)):
+            z = signs.astype(dtype)
+            y = expm_action(op, iv, z, **kw)
+            assert y.dtype == np.float64
+            for j in range(s):
+                np.testing.assert_array_equal(y[:, j],
+                                              expm_action(op, iv, z[:, j:j + 1], **kw)[:, 0])
+            assert np.linalg.norm(y - want) <= accuracy * np.linalg.norm(want)
 
     def test_more_lanes_than_cores_compute_every_column_once(self, monkeypatch):
         rng = np.random.default_rng(28)
@@ -545,14 +547,13 @@ class TestColumnBlocks:
             sys.setswitchinterval(interval)
             operators._POOL.shutdown()
 
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_worker_error_reaches_the_caller_and_leaves_the_pool_working(self, monkeypatch,
-                                                                         dtype):
+    def test_worker_error_reaches_the_caller_and_leaves_the_pool_working(self, monkeypatch):
         rng = np.random.default_rng(27)
         op = large_shifted_operator("maxcut", rng)
-        z = rng.choice([-1.0, 1.0], size=(op.n, 300)).astype(dtype)
+        z = rng.choice([-1.0, 1.0], size=(op.n, 300))
         iv = spectral_bounds(op, seed=6)
-        healthy = expm_action(op, iv, z)
+        healthy = {dtype: expm_action(op, iv, z.astype(dtype))
+                   for dtype in (np.float64, np.float32)}
         apply, block_calls, lock = SymOperator.apply, itertools.count(1), threading.Lock()
 
         def faulty(self, v, into=None):
@@ -564,14 +565,17 @@ class TestColumnBlocks:
             return apply(self, v, into)
 
         monkeypatch.setattr(SymOperator, "apply", faulty)
-        with pytest.raises(ArithmeticError, match="injected fault"):
-            expm_action(op, iv, z)
+        for dtype in healthy:
+            block_calls = itertools.count(1)
+            with pytest.raises(ArithmeticError, match="injected fault"):
+                expm_action(op, iv, z.astype(dtype))
         block_calls = itertools.count(1)
         problem = gen_er_maxcut(1030, seed=4)
         with pytest.raises(RuntimeError, match="solver failed at iteration 0: injected"):
             solve(problem, SolverConfig(iters=2, samples=300, seed=1))
         monkeypatch.setattr(SymOperator, "apply", apply)
-        np.testing.assert_array_equal(expm_action(op, iv, z), healthy)
+        for dtype, want in healthy.items():
+            np.testing.assert_array_equal(expm_action(op, iv, z.astype(dtype)), want)
 
 
 class TestDenseGibbs:
