@@ -1,15 +1,15 @@
 """Convergence profiles for the three problem families, one subcommand each.
 
 maxcut: stochastic solves on Erdos-Renyi cut relaxations (edge probability
-3/n) at several sizes with the default S = ceil(25 log n) probes; the averaged
-feasibility curves should coincide across sizes (dimension independence).
+3/n) at several sizes; the averaged feasibility curves should coincide across
+sizes (dimension independence).
 ot: exact solves on entropic transport with the dual objective recorded, on
 a bright square over dim noise or, with --images, a pooled pair from an IDX
 image file (0.01 added per pixel).
 permsynch: both synchronization relaxations of N images with K keypoints
-each at beta = 10 log(n)/n with S = ceil(8 K log n) probes, n = N K; strong
-pins every diagonal block (registry max(K, ceil(N/2))), weak only the
-diagonal and the block mass (registry K).
+each at beta = 10 log(n)/n, n = N K; strong pins every diagonal block
+(registry max(K, ceil(N/2))), weak only the diagonal and the block mass
+(registry K). Every solve draws problem.default_sample_count() probes.
 
 Each run writes per-replicate traces, an averaged curve and a JSON summary.
 """
@@ -23,14 +23,12 @@ from entrodual.solver import SolverConfig
 
 
 def maxcut_specs(args):
-    out = Path(args.out)
     for n in args.sizes:
-        samples = math.ceil(25 * math.log(n))
-        yield f"n={n:5d}  S={samples:4d}", ExperimentSpec(
+        yield f"n={n:5d}", ExperimentSpec(
             kind="maxcut",
             params={"n": n, "beta": args.beta},
             config=SolverConfig(iters=args.iters, seed=args.seed),
-            out_dir=str(out / f"n{n}"),
+            out_dir=str(Path(args.out) / f"n{n}"),
             replicates=args.replicates,
             name=f"maxcut_n{n}",
         )
@@ -59,8 +57,6 @@ def permsynch_specs(args):
     n_img, k = args.num_images, args.keypoints
     n = n_img * k
     beta = 10.0 * math.log(n) / n
-    samples = math.ceil(8 * k * math.log(n))
-    out = Path(args.out)
     for kind in args.kinds:
         if kind == "ps-strong":
             registry = max(k, math.ceil(n_img / 2))
@@ -68,15 +64,14 @@ def permsynch_specs(args):
         else:
             registry = k
             corruption = 0.10
-        yield (f"{kind:9s}  N={n_img} K={k} beta={beta:.4f} S={samples}",
+        yield (f"{kind:9s}  N={n_img} K={k} beta={beta:.4f}",
                ExperimentSpec(
                    kind=kind,
                    params={"num_images": n_img, "keypoints": k,
                            "registry": registry, "corruption": corruption,
                            "beta": beta},
-                   config=SolverConfig(iters=args.iters, samples=samples,
-                                       seed=args.seed),
-                   out_dir=str(out / kind),
+                   config=SolverConfig(iters=args.iters, seed=args.seed),
+                   out_dir=str(Path(args.out) / kind),
                    replicates=args.replicates,
                    name=f"{kind}_N{n_img}_K{k}",
                ))

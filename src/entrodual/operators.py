@@ -8,10 +8,10 @@ Chebyshev affine map with one more write and each term of the recurrence costs
 a single product. The recurrence runs in the precision of the block it is
 given: float32 for a float32 block, truncated at float32 roundoff, and float64
 for anything else. Its output is always float64. A wide probe block runs
-through the recurrence in column blocks of about 2**17 entries per array,
-shared out over one thread per usable core; each column is computed on its
-own, so within one precision the result equals a single-block evaluation bit
-for bit."""
+through the recurrence in column blocks of 1 MiB per array, as many as a
+multiple of the thread count, one thread per usable core; each column is
+computed on its own, so within one precision the result equals a
+single-block evaluation bit for bit."""
 
 from __future__ import annotations
 
@@ -382,14 +382,24 @@ def _clenshaw_lane(double: SymOperator, q: np.ndarray, factor: float, z: np.ndar
         np.multiply(_clenshaw(double, q, zb, b1, b2), factor, out=out[:, cols])
 
 
-# entries per column-block array (1 MiB in float64), so that z, b1 and b2 of
-# a block stay in a core's L2 cache through every term of the recurrence
-_BLOCK_ENTRIES = 2**17
+# bytes per column-block array (2**17 float64 or 2**18 float32 entries), so
+# that z, b1 and b2 of a block stay in a core's L2 cache through every term
+_BLOCK_BYTES = 2**20
 # one lane per usable core; the CSR kernel, numpy's ufuncs and BLAS release
 # the GIL, so the lanes run in parallel. Threads start on the first submit.
 _LANES = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
           else os.cpu_count() or 1)
 _POOL = ThreadPoolExecutor(max_workers=_LANES, thread_name_prefix="expm_action")
+
+
+def _column_blocks(n: int, s: int, itemsize: int) -> list:
+    """Equal column slices of an n x s block, about _BLOCK_BYTES per array:
+    one, or as many as a multiple of _LANES (at most s)."""
+    width = -(-(_BLOCK_BYTES // itemsize) // n)
+    count = -(-s // width)
+    if count > 1:
+        count = min(s, -(-count // _LANES) * _LANES)
+    return [slice(s * j // count, s * (j + 1) // count) for j in range(count)]
 
 
 def expm_action(op: SymOperator, interval: SpectralInterval, z: np.ndarray,
@@ -413,18 +423,17 @@ def expm_action(op: SymOperator, interval: SpectralInterval, z: np.ndarray,
     result is float64 either way, as is the scaled z of a zero-width
     interval.
 
-    A 2-d z wider than ceil(_BLOCK_ENTRIES / n) columns (about 2**17
-    entries per array) runs the whole recurrence one such column block at a
-    time, so a block's arrays stay in a core's cache, and the blocks are
-    shared out over one thread per usable core. Narrower input runs as one
-    block in the calling thread. Each column is computed on its own, so
-    every column of the result equals, bit for bit, that column evaluated
-    alone in the same precision.
+    A z wider than 1 MiB per array runs the whole recurrence in equal column
+    blocks of about that size, so they stay in a core's cache, as many as a
+    multiple of the lanes, one thread per usable core; each lane copies its
+    columns from any strided z. Narrower input runs as one contiguous block
+    in the calling thread. Each column is computed on its own, so every
+    column equals, bit for bit, that column evaluated alone.
     """
     if not 0.0 < tol < 1.0:
         raise ValueError("tol must lie in (0, 1)")
     z = np.asarray(z)
-    z = np.ascontiguousarray(z, dtype=np.float32 if z.dtype == np.float32 else np.float64)
+    z = z.astype(np.float32 if z.dtype == np.float32 else np.float64, copy=False)
     lo, hi = sorted((scale * interval.lo + shift, scale * interval.hi + shift))
     if not (np.isfinite(lo) and np.isfinite(hi)):
         raise ValueError(f"mapped interval [{lo}, {hi}] is not finite")
@@ -438,11 +447,12 @@ def expm_action(op: SymOperator, interval: SpectralInterval, z: np.ndarray,
                          .astype(z.dtype, copy=False))
     factor = 0.5 * np.exp(c + h)
     n, s = z.shape[0], (z.shape[1] if z.ndim == 2 else 1)
-    width = -(-_BLOCK_ENTRIES // n)
-    if width >= s:
+    blocks = _column_blocks(n, s, z.itemsize)
+    if len(blocks) == 1:
+        z = np.ascontiguousarray(z)
         y = _clenshaw(double, q, z, np.empty_like(z), np.empty_like(z))
         return np.multiply(y, factor, out=out)
-    blocks = [slice(j, min(j + width, s)) for j in range(0, s, width)]
+    width = -(-s // len(blocks))  # the widest block
     # next() on a list iterator is one atomic step under the GIL, so the lanes
     # share it without a lock; every buffer is allocated here, in the calling
     # thread, since per-thread malloc arenas would raise the peak footprint

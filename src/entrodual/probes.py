@@ -23,7 +23,8 @@ __all__ = ["ProbeBatch", "draw_probes", "probe_gibbs"]
 _MASK64 = (1 << 64) - 1
 
 
-def draw_probes(n: int, num_samples: int, seed: int, iteration: int) -> np.ndarray:
+def draw_probes(n: int, num_samples: int, seed: int, iteration: int,
+                dtype=np.float64) -> np.ndarray:
     """n x S array of i.i.d. Rademacher probes, reproducible per column.
 
     Column s is generated from a Philox stream whose 256-bit counter starts at
@@ -33,6 +34,8 @@ def draw_probes(n: int, num_samples: int, seed: int, iteration: int) -> np.ndarr
     how many columns are requested. The column equals
     Generator(Philox(key, counter)).integers(0, 2, n) mapped to signs: entry i
     is the top bit of the low (even i) or high (odd i) half of raw word i // 2.
+    The signs are written over the words as float32; a float32 draw is a
+    transposed view of them (4 n S bytes), any other dtype a cast of it.
     """
     if num_samples < 1:
         raise ValueError("need at least one probe column")
@@ -49,11 +52,11 @@ def draw_probes(n: int, num_samples: int, seed: int, iteration: int) -> np.ndarr
         state["state"]["counter"] = counter
         bg.state = state
         words[s] = bg.random_raw(words.shape[1])
-    bits = words.view("<u4")[:, :n] >> 31
-    out = np.empty((n, num_samples))
-    np.multiply(bits.T, 2.0, out=out)
-    out -= 1.0
-    return out
+    # keep each half's top bit, then xor in -1.0f: a set bit gives +1.0f
+    half = words.view("<u4")
+    half &= 0x80000000
+    half ^= 0xBF800000
+    return half.view("<f4")[:, :n].T.astype(dtype, copy=False)
 
 
 @dataclass(frozen=True)

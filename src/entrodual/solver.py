@@ -257,18 +257,16 @@ def _probe_batch(op, beta: float, z: np.ndarray, seed: int):
     covers float32 roundoff in the mass, which stays below 1e-7 n S at any
     width: an image near its probe's length needs only a few terms.
 
-    The batch runs in float32, where probe_gibbs truncates the series at
-    float32 roundoff, about 1.2e-7 per unit of probe length. A batch whose
-    mass is below (1.2e-7 / sqrt(1e-8))^2 = 1.4e-6 n S, where that error
-    exceeds sqrt(1e-8) of the images, is redone once in float64 on the same
-    interval. A float64 batch below 1e-14 n S raises: its series is truncated
-    at 1e-11 per unit of probe length, which there exceeds sqrt(1e-8) of the
-    images. A wider interval would only shrink them further, so that batch
-    is not redone.
+    solve() draws the probes in float32, so the batch runs in float32, where
+    probe_gibbs truncates the series at float32 roundoff, about 1.2e-7 per
+    unit of probe length. A batch whose mass is below (1.2e-7 / sqrt(1e-8))^2
+    = 1.4e-6 n S, where that error exceeds sqrt(1e-8) of the images, is
+    redone once in float64 on the same interval. A float64 batch below 1e-14
+    n S raises: its series is truncated at 1e-11 per unit of probe length,
+    which there exceeds sqrt(1e-8) of the images. A wider interval would only
+    shrink them further, so that batch is not redone.
     """
     ceiling = z.size * (1.0 + 1e-6)
-    # signs are exact in float32; rebinding z releases the caller's float64 block
-    z = z.astype(np.float32)
     interval = spectral_bounds(op, seed=seed)
     batch = probe_gibbs(op, beta, interval, z) if interval.certified else None
     if batch is None or not batch.mass <= ceiling:
@@ -318,8 +316,8 @@ def solve(problem, config: SolverConfig,
             if exact:
                 grad, record["dual_objective"][t] = problem.dense_eval(lam)
             else:
-                batch = _probe_batch(problem.shifted_operator(lam), problem.beta,
-                                     draw_probes(problem.dimension, samples, config.seed, t),
+                z = draw_probes(problem.dimension, samples, config.seed, t, np.float32)
+                batch = _probe_batch(problem.shifted_operator(lam), problem.beta, z,
                                      config.seed)
                 grad = problem.stochastic_gradient(batch)
             feas = record["feasibility"][t] = problem.feasibility_error(grad)

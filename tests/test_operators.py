@@ -507,14 +507,20 @@ def large_shifted_operator(family, rng):
         (0.1 * rng.standard_normal(1030), 0.1 * rng.standard_normal(103)))
 
 
+def lanes(monkeypatch, count):
+    """Run expm_action over count lanes on a pool of its own; returns the pool."""
+    pool = ThreadPoolExecutor(max_workers=count)
+    monkeypatch.setattr(operators, "_LANES", count)
+    monkeypatch.setattr(operators, "_POOL", pool)
+    return pool
+
+
 class TestColumnBlocks:
     @pytest.mark.parametrize("family", ["maxcut", "strong", "weak"])
     def test_block_split_changes_no_bits(self, family):
         rng = np.random.default_rng(26)
         op = large_shifted_operator(family, rng)
         s = 300
-        width = -(-operators._BLOCK_ENTRIES // op.n)
-        assert s > 2 * width and s % width, "S must span three blocks, the last ragged"
         signs = rng.choice([-1.0, 1.0], size=(op.n, s))
         iv = spectral_bounds(op, seed=5)
         kw = dict(tol=1e-12, scale=-1.5, shift=1.5 * iv.lo)
@@ -522,6 +528,7 @@ class TestColumnBlocks:
         # each precision is bit-stable under the split on its own
         for dtype, accuracy in ((np.float64, 1e-10), (np.float32, 1e-5)):
             z = signs.astype(dtype)
+            assert len(operators._column_blocks(op.n, s, z.itemsize)) > 1, "S must span blocks"
             y = expm_action(op, iv, z, **kw)
             assert y.dtype == np.float64
             for j in range(s):
@@ -529,23 +536,90 @@ class TestColumnBlocks:
                                               expm_action(op, iv, z[:, j:j + 1], **kw)[:, 0])
             assert np.linalg.norm(y - want) <= accuracy * np.linalg.norm(want)
 
+    @pytest.mark.parametrize("n, s, itemsize, widths", [
+        (4000, 208, 4, [52] * 4),       # maxcut-n4000 in float32
+        (4000, 208, 8, [26] * 8),       # 7 blocks of up to 33 float64 columns, rounded up to 8
+        (1000, 553, 4, [138, 138, 138, 139]),
+        (1000, 262, 4, [262]),          # 2**18 float32 entries fit one block
+        (1000, 262, 8, [131, 131]),
+        (10**6, 3, 8, [1, 1, 1]),       # never more blocks than columns
+    ])
+    def test_blocks_are_sized_in_bytes_and_balanced(self, monkeypatch, n, s, itemsize, widths):
+        monkeypatch.setattr(operators, "_LANES", 2)
+        blocks = operators._column_blocks(n, s, itemsize)
+        assert [b.stop - b.start for b in blocks] == widths
+        assert blocks[0].start == 0 and all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+        assert blocks[-1].stop == s
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("lane_count", [1, 3])
+    @pytest.mark.parametrize("extra", ["width+1", "lanes*width+1"])
+    def test_balanced_split_computes_every_column_once(self, monkeypatch, dtype, lane_count,
+                                                       extra):
+        rng = np.random.default_rng(30)
+        op = large_shifted_operator("strong", rng)
+        iv = spectral_bounds(op, seed=8)
+        # 1 MiB per array, scaled down to 16 float64 or 32 float32 columns
+        monkeypatch.setattr(operators, "_BLOCK_BYTES", 16 * 8 * op.n)
+        width = 16 * 8 // np.dtype(dtype).itemsize
+        s = width + 1 if extra == "width+1" else lane_count * width + 1
+        # distinct columns, so each block handed to the recurrence is traceable
+        z = rng.standard_normal((op.n, s)).astype(dtype)
+        pool = lanes(monkeypatch, lane_count)
+        blocks = operators._column_blocks(op.n, s, z.itemsize)
+        widths = [b.stop - b.start for b in blocks]
+        assert len(blocks) % lane_count == 0 and max(widths) - min(widths) <= 1
+        assert max(widths) <= width
+        seen, lock, clenshaw = [], threading.Lock(), operators._clenshaw
+
+        def spy(double, q, zb, b1, b2):
+            with lock:
+                seen.append(zb.copy())
+            return clenshaw(double, q, zb, b1, b2)
+
+        monkeypatch.setattr(operators, "_clenshaw", spy)
+        try:
+            y = expm_action(op, iv, z)
+        finally:
+            pool.shutdown()
+        # the blocks handed to the recurrence tile z's columns exactly once
+        assert sorted(b.shape[1] for b in seen) == sorted(widths)
+        got = np.concatenate([b.T for b in seen])
+        np.testing.assert_array_equal(got[np.argsort(got[:, 0])], z.T[np.argsort(z[0])])
+        for j in range(s):
+            np.testing.assert_array_equal(y[:, j], expm_action(op, iv, z[:, j:j + 1])[:, 0])
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("s", [5, 300])
+    def test_strided_input_gives_the_contiguous_bits(self, dtype, s):
+        rng = np.random.default_rng(31)
+        op = large_shifted_operator("weak", rng)
+        iv = spectral_bounds(op, seed=9)
+        kw = dict(scale=-0.5, shift=0.5 * iv.lo)
+        transposed = rng.choice([-1.0, 1.0], size=(s, op.n)).astype(dtype).T
+        every_other = rng.choice([-1.0, 1.0], size=(op.n, 2 * s)).astype(dtype)[:, ::2]
+        for z in (transposed, every_other):
+            assert not z.flags.c_contiguous
+            want = expm_action(op, iv, np.ascontiguousarray(z), **kw)
+            np.testing.assert_array_equal(expm_action(op, iv, z, **kw), want)
+
     def test_more_lanes_than_cores_compute_every_column_once(self, monkeypatch):
         rng = np.random.default_rng(28)
         op = large_shifted_operator("maxcut", rng)
         z = rng.choice([-1.0, 1.0], size=(op.n, 300))
         iv = spectral_bounds(op, seed=7)
         whole = expm_action(op, iv, z)
-        # 43 blocks of 7 columns over 8 lanes, switching threads every microsecond
-        monkeypatch.setattr(operators, "_BLOCK_ENTRIES", 7 * op.n)
-        monkeypatch.setattr(operators, "_LANES", 8)
-        monkeypatch.setattr(operators, "_POOL", ThreadPoolExecutor(max_workers=8))
+        # 48 blocks of 6 or 7 columns over 8 lanes, switching threads every microsecond
+        monkeypatch.setattr(operators, "_BLOCK_BYTES", 7 * 8 * op.n)
+        pool = lanes(monkeypatch, 8)
+        assert len(operators._column_blocks(op.n, 300, 8)) == 48
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             np.testing.assert_array_equal(expm_action(op, iv, z), whole)
         finally:
             sys.setswitchinterval(interval)
-            operators._POOL.shutdown()
+            pool.shutdown()
 
     def test_worker_error_reaches_the_caller_and_leaves_the_pool_working(self, monkeypatch):
         rng = np.random.default_rng(27)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.random import Generator, Philox
@@ -70,6 +72,31 @@ class TestDrawProbes:
             bg = Philox(key=seed, counter=[0, 0, iteration, s])
             bits = Generator(bg).integers(0, 2, size=n)
             np.testing.assert_array_equal(z[:, s], 2.0 * bits - 1.0)
+
+    @pytest.mark.parametrize("n, num, seed, iteration", [
+        (1, 1, 0, 0), (2, 3, 1, 1), (37, 11, 5, 2), (400, 21, 2**100 + 7, 2**63),
+        (1001, 7, 9, 3),
+    ])
+    def test_float32_draw_is_the_float64_draw(self, n, num, seed, iteration):
+        z = draw_probes(n, num, seed, iteration, np.float32)
+        assert z.dtype == np.float32 and z.shape == (n, num)
+        np.testing.assert_array_equal(z, draw_probes(n, num, seed, iteration))
+        # the Philox stream contract holds in float32 too
+        bits = Generator(Philox(key=seed, counter=[0, 0, iteration, num - 1])).integers(0, 2, n)
+        np.testing.assert_array_equal(z[:, -1], 2.0 * bits - 1.0)
+
+    def test_float32_draw_writes_the_signs_over_the_raw_words(self):
+        n, num = 3001, 64
+        tracemalloc.start()
+        try:
+            z = draw_probes(n, num, seed=1, iteration=0, dtype=np.float32)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the words take 4 n S bytes (one pad entry per column at odd n); the
+        # float64 draw and a cast to float32 took over 8 n S
+        assert peak < 6 * n * num
+        assert np.all(np.abs(z) == 1.0)
 
     def test_bad_args(self):
         with pytest.raises(ValueError):

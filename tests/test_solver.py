@@ -216,17 +216,20 @@ class TestStochasticPath:
         assert len(set(np.round(tr.grad_dual_norm, 12))) > 1
 
     def test_first_iteration_matches_manual_pipeline(self):
-        p = random_maxcut(9, beta=3.0, seed=2)
-        cfg = SolverConfig(iters=1, samples=24, seed=4)
-        tr = solve(p, cfg)
-        op = p.shifted_operator(np.zeros(9))
-        # the solver hands probe_gibbs its probes in float32
-        z = draw_probes(9, 24, 4, 0).astype(np.float32)
-        batch = probe_gibbs(op, 3.0, spectral_bounds(op, seed=4), z)
-        grad = p.stochastic_gradient(batch)
-        assert tr.feasibility[0] == pytest.approx(p.feasibility_error(grad), abs=1e-14)
-        assert tr.grad_dual_norm[0] == pytest.approx(
-            dual_norm(p.norm_family(), grad), abs=1e-14)
+        # solve() draws float32 signs as a strided view; a hand run fed
+        # contiguous float32 copies of the float64 draw gives the same bits,
+        # on one block and on float32 blocks of 2**18 entries split over the lanes
+        for p, samples in (
+                (random_maxcut(9, beta=3.0, seed=2), 24),
+                (gen_er_maxcut(1030, seed=3, beta=10.0), 300),
+                (gen_permsynch(PermSynchModel(40, 10, 20, 0.15, seed=0), 1.0, "strong"), 700)):
+            cfg = SolverConfig(iters=4, samples=samples, seed=4)
+            tr = solve(p, cfg)
+            want, best = manual_trace(p, cfg, np.float32)
+            got = np.array([getattr(tr, field) for _, field, _, _ in TRACE_COLUMNS
+                            if field != "wall_ms"])
+            np.testing.assert_array_equal(got, want)
+            assert tr.best_iteration == best
 
     def test_default_sample_count_used_when_unset(self):
         p = random_maxcut(9, beta=3.0, seed=2)
@@ -342,16 +345,18 @@ class TestProbeInterval:
             solve(p, cfg)
 
 
-def float64_trace(problem, cfg):
-    """The stochastic solve run by hand in float64 from the public pieces:
-    draw_probes, probe_gibbs on the Lanczos interval, stochastic_gradient and
-    update. Returns the trace.csv columns but wall_ms, and the best row."""
+def manual_trace(problem, cfg, dtype=np.float64):
+    """The stochastic solve run by hand from the public pieces: draw_probes,
+    cast to a contiguous block of dtype, probe_gibbs on the Lanczos interval,
+    stochastic_gradient and update. Returns the trace.csv columns but
+    wall_ms, and the best row."""
     family, lam, eta = problem.norm_family(), problem.initial_dual(), cfg.resolve(problem)
     cols = []
     for t in range(cfg.iters):
         op = problem.shifted_operator(lam)
         interval = spectral_bounds(op, seed=cfg.seed)
-        z = draw_probes(problem.dimension, cfg.samples, cfg.seed, t)
+        z = np.ascontiguousarray(draw_probes(problem.dimension, cfg.samples, cfg.seed, t),
+                                 dtype=dtype)
         batch = probe_gibbs(op, problem.beta, interval, z)
         # the solver's first rung: a certified interval and a batch that
         # neither grew nor fell below the float32 floor
@@ -412,7 +417,7 @@ class TestPrecisionLadder:
         p = make()
         cfg = SolverConfig(iters=20, samples=p.default_sample_count(), seed=1)
         tr = solve(p, cfg)
-        want, best = float64_trace(p, cfg)
+        want, best = manual_trace(p, cfg)
         got = np.array([getattr(tr, field) for _, field, _, _ in TRACE_COLUMNS
                         if field != "wall_ms"])
         np.testing.assert_allclose(got, want, rtol=1e-6, atol=0.0)
