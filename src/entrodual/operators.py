@@ -6,8 +6,8 @@ of alpha (cost + diagonal + block diagonal) + shift I into a pattern cached per
 cost, and the result keeps its own pattern, so expm_action folds in the
 Chebyshev affine map with one more write and each term of the recurrence costs
 a single product. The recurrence runs in the precision of the block it is
-given: float32 for a float32 block, truncated at float32 roundoff, and float64
-for anything else. Its output is always float64. A wide probe block runs
+given, float32 for a float32 block, truncated at float32 roundoff, and float64
+for anything else; its output has that precision too. A wide probe block runs
 through the recurrence in column blocks of 1 MiB per array, as many as a
 multiple of the thread count, one thread per usable core; each column is
 computed on its own, so within one precision the result equals a
@@ -371,9 +371,9 @@ def _clenshaw(double: SymOperator, q: np.ndarray, z: np.ndarray, b1: np.ndarray,
 def _clenshaw_lane(double: SymOperator, q: np.ndarray, factor: float, z: np.ndarray,
                    out: np.ndarray, blocks, buffers) -> None:
     """Write factor times _clenshaw of each column block of z taken from the
-    shared iterator blocks into those columns of the float64 out, using the
-    three flat buffers (z block, b1, b2) of z's dtype and allocating nothing
-    of block size."""
+    shared iterator blocks into those columns of out, using the three flat
+    buffers (z block, b1, b2); out and the buffers have z's dtype, and nothing
+    of block size is allocated."""
     n = z.shape[0]
     for cols in blocks:
         zb, b1, b2 = (buf[: n * (cols.stop - cols.start)].reshape(n, -1)
@@ -392,6 +392,19 @@ _LANES = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
 _POOL = ThreadPoolExecutor(max_workers=_LANES, thread_name_prefix="expm_action")
 
 
+def reused(work: Optional[dict], key, shape: tuple, dtype) -> np.ndarray:
+    """An uninitialised array of shape and dtype: the one work holds under key
+    if it matches, else a new one, stored there unless work is None. A loop
+    that passes one dict to every call keeps its large buffers, which the
+    allocator could otherwise return to the system and fault in again."""
+    array = None if work is None else work.get(key)
+    if array is None or array.shape != shape or array.dtype != dtype:
+        array = np.empty(shape, dtype)
+        if work is not None:
+            work[key] = array
+    return array
+
+
 def _column_blocks(n: int, s: int, itemsize: int) -> list:
     """Equal column slices of an n x s block, about _BLOCK_BYTES per array:
     one, or as many as a multiple of _LANES (at most s)."""
@@ -404,7 +417,7 @@ def _column_blocks(n: int, s: int, itemsize: int) -> list:
 
 def expm_action(op: SymOperator, interval: SpectralInterval, z: np.ndarray,
                 tol: float = 1e-10, *, scale: float = 1.0,
-                shift: float = 0.0) -> np.ndarray:
+                shift: float = 0.0, work: Optional[dict] = None) -> np.ndarray:
     """Compute exp(scale * op + shift * I) @ z by Clenshaw evaluation of a Chebyshev expansion.
 
     interval must contain the spectrum of op; the expansion lives on its image
@@ -420,15 +433,18 @@ def expm_action(op: SymOperator, interval: SpectralInterval, z: np.ndarray,
     with the folded operator cast to float32 once per call and the series
     truncated at float32 roundoff (about 1.2e-7) when that exceeds
     tol * 1e-3; any other z runs in float64, truncated at tol * 1e-3. The
-    result is float64 either way, as is the scaled z of a zero-width
-    interval.
+    result, like the scaled z of a zero-width interval, has the precision of
+    the recurrence: float32 for a float32 z, so the block is never widened.
 
     A z wider than 1 MiB per array runs the whole recurrence in equal column
     blocks of about that size, so they stay in a core's cache, as many as a
-    multiple of the lanes, one thread per usable core; each lane copies its
-    columns from any strided z. Narrower input runs as one contiguous block
-    in the calling thread. Each column is computed on its own, so every
-    column equals, bit for bit, that column evaluated alone.
+    multiple of the lanes, one thread per usable core. Narrower input runs as
+    one block in the calling thread. Each block copies its columns from any
+    strided z, and each column is computed on its own, so every column
+    equals, bit for bit, that column evaluated alone.
+
+    With a work dict, the result and the block buffers are kept there (see
+    reused) for the next call with it, which overwrites the result.
     """
     if not 0.0 < tol < 1.0:
         raise ValueError("tol must lie in (0, 1)")
@@ -438,7 +454,7 @@ def expm_action(op: SymOperator, interval: SpectralInterval, z: np.ndarray,
     if not (np.isfinite(lo) and np.isfinite(hi)):
         raise ValueError(f"mapped interval [{lo}, {hi}] is not finite")
     c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    out = np.empty(z.shape)
+    out = reused(work, "expm_action", z.shape, z.dtype)
     if h <= 1e-14 * max(1.0, abs(c)):
         return np.multiply(z, np.exp(c), out=out)
     q = _chebyshev_degree(h, tol, z.dtype).astype(z.dtype)
@@ -448,22 +464,23 @@ def expm_action(op: SymOperator, interval: SpectralInterval, z: np.ndarray,
     factor = 0.5 * np.exp(c + h)
     n, s = z.shape[0], (z.shape[1] if z.ndim == 2 else 1)
     blocks = _column_blocks(n, s, z.itemsize)
-    if len(blocks) == 1:
-        z = np.ascontiguousarray(z)
-        y = _clenshaw(double, q, z, np.empty_like(z), np.empty_like(z))
-        return np.multiply(y, factor, out=out)
     width = -(-s // len(blocks))  # the widest block
     # next() on a list iterator is one atomic step under the GIL, so the lanes
     # share it without a lock; every buffer is allocated here, in the calling
     # thread, since per-thread malloc arenas would raise the peak footprint
     shared = iter(blocks)
-    lanes = [_POOL.submit(_clenshaw_lane, double, q, factor, z, out, shared,
-                          [np.empty(n * width, dtype=z.dtype) for _ in range(3)])
-             for _ in range(min(_LANES, len(blocks)))]
+    lanes = [(double, q, factor, z.reshape(n, s), out.reshape(n, s), shared,
+              [reused(work, ("expm_action", lane, j), (n * width,), z.dtype)
+               for j in range(3)])
+             for lane in range(min(_LANES, len(blocks)))]
+    if len(lanes) == 1:
+        _clenshaw_lane(*lanes[0])
+        return out
+    futures = [_POOL.submit(_clenshaw_lane, *lane) for lane in lanes]
     # no lane may still write into out once an error propagates
-    wait(lanes)
-    for lane in lanes:
-        lane.result()
+    wait(futures)
+    for future in futures:
+        future.result()
     return out
 
 

@@ -12,11 +12,12 @@ spectral shift applied inside the exponential, cancels.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 from numpy.random import Philox
 
-from entrodual.operators import SpectralInterval, SymOperator, expm_action
+from entrodual.operators import SpectralInterval, SymOperator, expm_action, reused
 
 __all__ = ["ProbeBatch", "draw_probes", "probe_gibbs"]
 
@@ -24,7 +25,7 @@ _MASK64 = (1 << 64) - 1
 
 
 def draw_probes(n: int, num_samples: int, seed: int, iteration: int,
-                dtype=np.float64) -> np.ndarray:
+                dtype=np.float64, work: Optional[dict] = None) -> np.ndarray:
     """n x S array of i.i.d. Rademacher probes, reproducible per column.
 
     Column s is generated from a Philox stream whose 256-bit counter starts at
@@ -35,7 +36,9 @@ def draw_probes(n: int, num_samples: int, seed: int, iteration: int,
     Generator(Philox(key, counter)).integers(0, 2, n) mapped to signs: entry i
     is the top bit of the low (even i) or high (odd i) half of raw word i // 2.
     The signs are written over the words as float32; a float32 draw is a
-    transposed view of them (4 n S bytes), any other dtype a cast of it.
+    transposed view of them (4 n S bytes), any other dtype a cast of it. With
+    a work dict the words are kept there (see operators.reused), and the next
+    draw with it overwrites them.
     """
     if num_samples < 1:
         raise ValueError("need at least one probe column")
@@ -45,7 +48,7 @@ def draw_probes(n: int, num_samples: int, seed: int, iteration: int,
     state = bg.state
     counter = np.zeros(4, dtype=np.uint64)
     counter[2] = int(iteration) & _MASK64
-    words = np.empty((num_samples, (n + 1) // 2), dtype="<u8")
+    words = reused(work, "draw_probes", (num_samples, (n + 1) // 2), np.dtype("<u8"))
     # the fresh state's output buffer is empty, so each column starts at its counter
     for s in range(num_samples):
         counter[3] = s
@@ -63,9 +66,10 @@ def draw_probes(n: int, num_samples: int, seed: int, iteration: int,
 class ProbeBatch:
     """Columns of a Gibbs factor with their row energies, derived from them.
 
-    images holds the columns w_s (probe images or the exact dense factor);
-    r_i = sum_s w_is^2 is the diagonal of W W^T and mass = sum_i r_i the
-    denominator of every normalized functional.
+    images holds the columns w_s (probe images or the exact dense factor) in
+    the probes' precision; r_i = sum_s w_is^2 is the diagonal of W W^T and
+    mass = sum_i r_i the denominator of every normalized functional, both
+    accumulated in float64, as is every functional the problems read.
     """
 
     images: np.ndarray
@@ -75,7 +79,7 @@ class ProbeBatch:
     def __post_init__(self):
         assert self.images.ndim == 2 and self.images.shape[1] >= 1
         object.__setattr__(self, "r", np.einsum("ns,ns->n", self.images,
-                                                self.images))
+                                                self.images, dtype=np.float64))
         object.__setattr__(self, "mass", float(self.r.sum()))
         if not self.mass > 0.0:
             raise ValueError(f"probe batch has zero or non-finite mass {self.mass}; "
@@ -91,7 +95,8 @@ class ProbeBatch:
 
 
 def probe_gibbs(op: SymOperator, beta: float, interval: SpectralInterval,
-                probes: np.ndarray, tol: float = 1e-8) -> ProbeBatch:
+                probes: np.ndarray, tol: float = 1e-8,
+                work: Optional[dict] = None) -> ProbeBatch:
     """Apply exp(-(beta/2) op) to the probe columns, with overflow-safe shifting.
 
     interval must contain the spectrum of op. The exponent is shifted so its
@@ -101,10 +106,16 @@ def probe_gibbs(op: SymOperator, beta: float, interval: SpectralInterval,
     float32 probes (Rademacher signs are exact in float32) run in float32,
     with the series truncated at float32 roundoff, about 1.2e-7 per unit of
     probe length, and other probes in float64, truncated at tol * 1e-3 per
-    unit; the images are float64 either way. That error stays under
-    sqrt(tol) of the images only while the mass is at least
-    (error / sqrt(tol))^2 n S: about 1.4e-6 n S in float32 and 1e-14 n S in
-    float64 at tol = 1e-8.
+    unit. That error stays under sqrt(tol) of the images only while the mass
+    is at least (error / sqrt(tol))^2 n S: about 1.4e-6 n S in float32 and
+    1e-14 n S in float64 at tol = 1e-8.
+
+    The images keep the probes' precision, and ProbeBatch reads them in
+    float64. The shift puts the top of the mapped interval at exactly 0, so
+    each image is exactly half the recurrence's output, and a float32 batch
+    hands every functional the values a float64 copy of it would. With a work
+    dict the images are kept there for the next call with it (see
+    expm_action), which overwrites them.
     """
     if not 0.0 < beta < np.inf:
         raise ValueError("beta must be positive and finite")
@@ -113,5 +124,5 @@ def probe_gibbs(op: SymOperator, beta: float, interval: SpectralInterval,
         z = z[:, None]
     half = 0.5 * beta
     w = expm_action(op, interval, z, tol=tol, scale=-half,
-                    shift=half * interval.lo)
+                    shift=half * interval.lo, work=work)
     return ProbeBatch(w)

@@ -257,7 +257,7 @@ class StrongPermSyncProblem(_SyncProblem):
         self._check_batch(batch)
         rows = batch.images.reshape(self.num_images, self.block_size,
                                     batch.num_samples)
-        blocks = np.einsum("nks,nls->nkl", rows, rows) / batch.mass
+        blocks = np.einsum("nks,nls->nkl", rows, rows, dtype=np.float64) / batch.mass
         return blocks - np.eye(self.block_size) / self.dimension
 
     def update(self, lam, grad, eta: float) -> np.ndarray:
@@ -301,7 +301,7 @@ class WeakPermSyncProblem(_SyncProblem):
         self._check_batch(batch)
         rows = batch.images.reshape(self.num_images, self.block_size,
                                     batch.num_samples)
-        colsum = rows.sum(axis=1)
+        colsum = rows.sum(axis=1, dtype=np.float64)
         block_means = np.einsum("ns,ns->n", colsum, colsum) / (batch.mass
                                                                * self.block_size)
         inv_n = 1.0 / self.dimension

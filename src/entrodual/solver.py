@@ -7,15 +7,19 @@ fresh batch per iteration. On the probe path every iteration encloses the
 spectrum of its shifted cost with a short Lanczos run, so the probe images
 stay O(||z||) at any beta. An uncertified interval, or a batch whose images
 grew (which a lower end at or below the smallest eigenvalue rules out), is
-redone on the Gershgorin interval. Batches run in float32; one whose images
-shrank below float32 roundoff is redone in float64, and one whose images
-shrank below the float64 Chebyshev error raises. TRACE_COLUMNS is the one
-trace.csv schema: the writer, the reader, solve() and the averaged experiment
-curves walk it.
+redone on the Gershgorin interval. Batches run in float32 and keep float32
+images, which the problems read in float64; one whose images shrank below
+float32 roundoff is redone in float64, and one whose images shrank below the
+float64 Chebyshev error raises. A run holds one probe block: every iteration
+draws its probes and writes its images into the same buffers, and a batch is
+released once its gradient is read. TRACE_COLUMNS is the one trace.csv
+schema: the writer, the reader, solve() and the averaged experiment curves
+walk it; the record grows with the iterations run, not those requested.
 """
 
 from __future__ import annotations
 
+import array
 import csv
 import functools
 import json
@@ -23,7 +27,7 @@ import math
 import subprocess
 import time
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -73,8 +77,9 @@ class SolverConfig:
 
     eta None resolves to 1/beta; values above 1/beta are allowed but warn,
     since every guarantee assumes eta <= 1/beta. samples None resolves to the
-    problem's default probe count on the stochastic path. dense_oracle puts
-    the SDPs on exact gradients; transport is always exact.
+    problem's default probe count on the stochastic path, and the trace's
+    config records the resolved count. dense_oracle puts the SDPs on exact
+    gradients; transport is always exact.
     """
 
     eta: Optional[float] = None
@@ -245,7 +250,7 @@ _FLOAT32_FLOOR = (float(np.finfo(np.float32).eps) / 1e-4) ** 2  # about 1.4e-6
 _FLOAT64_FLOOR = 1e-14
 
 
-def _probe_batch(op, beta: float, z: np.ndarray, seed: int):
+def _probe_batch(op, beta: float, z: np.ndarray, seed: int, work: dict):
     """Probe images of exp(-(beta/2) op) on a tight interval, checked.
 
     The exponent is shifted by the interval's lower end, so when that end is
@@ -264,20 +269,23 @@ def _probe_batch(op, beta: float, z: np.ndarray, seed: int):
     redone once in float64 on the same interval. A float64 batch below 1e-14
     n S raises: its series is truncated at 1e-11 per unit of probe length,
     which there exceeds sqrt(1e-8) of the images. A wider interval would only
-    shrink them further, so that batch is not redone.
+    shrink them further, so that batch is not redone. Every batch keeps its
+    images in work, so a redo overwrites the batch it replaces.
     """
     ceiling = z.size * (1.0 + 1e-6)
     interval = spectral_bounds(op, seed=seed)
-    batch = probe_gibbs(op, beta, interval, z) if interval.certified else None
+    batch = probe_gibbs(op, beta, interval, z, work=work) if interval.certified else None
     if batch is None or not batch.mass <= ceiling:
+        batch = None  # a rejected batch is released before its redo overwrites it
         r = op.inf_norm_bound()
         interval = SpectralInterval(-r, r)
-        batch = probe_gibbs(op, beta, interval, z)
+        batch = probe_gibbs(op, beta, interval, z, work=work)
         if not batch.mass <= ceiling:
             raise FloatingPointError(f"probe mass {batch.mass:.6g} exceeds n S = "
                                      f"{z.size} on the Gershgorin interval")
     if batch.mass < _FLOAT32_FLOOR * z.size:
-        batch = probe_gibbs(op, beta, interval, z.astype(float))
+        batch = None
+        batch = probe_gibbs(op, beta, interval, z.astype(float), work=work)
     floor = _FLOAT64_FLOOR * z.size
     if batch.mass < floor:
         raise FloatingPointError(f"probe mass {batch.mass:.6g} is below 1e-14 n S = "
@@ -291,7 +299,7 @@ def solve(problem, config: SolverConfig,
     """Run dual descent from the zero dual point and record per-iteration metrics.
 
     callback, if given, is invoked as callback(t, dual_point, gradient) after
-    the metrics of iteration t are recorded and before the update is applied.
+    the metrics of iteration t are computed and before the update is applied.
     It must not change dual_point or gradient in place: the trace keeps the
     best dual point by reference, since every update returns a fresh payload.
     Backend failures are re-raised with the iteration index attached.
@@ -302,26 +310,29 @@ def solve(problem, config: SolverConfig,
 
     exact = config.dense_oracle or isinstance(problem, OTProblem)
     if not exact:
-        samples = config.samples or problem.default_sample_count()
+        config = replace(config, samples=config.samples or problem.default_sample_count())
 
-    record = {field: np.full(config.iters, np.nan) for _, field, _, _ in TRACE_COLUMNS}
-    record["iterations"] = np.arange(config.iters)
+    # the float columns after iter, grown one row per iteration actually run
+    record = {field: array.array("d") for _, field, _, _ in TRACE_COLUMNS[1:]}
+    work = {}  # every iteration's probe block buffers, allocated once
     best_t, best_lam, best_g = -1, None, np.inf
     stopped = False
-    rows = 0
 
     for t in range(config.iters):
         tic = time.perf_counter()
         try:
+            objective = math.nan
             if exact:
-                grad, record["dual_objective"][t] = problem.dense_eval(lam)
+                grad, objective = problem.dense_eval(lam)
             else:
-                z = draw_probes(problem.dimension, samples, config.seed, t, np.float32)
-                batch = _probe_batch(problem.shifted_operator(lam), problem.beta, z,
-                                     config.seed)
-                grad = problem.stochastic_gradient(batch)
-            feas = record["feasibility"][t] = problem.feasibility_error(grad)
-            gnorm = record["grad_dual_norm"][t] = dual_norm(family, grad)
+                # no name holds the probes or their batch past the gradient
+                grad = problem.stochastic_gradient(_probe_batch(
+                    problem.shifted_operator(lam), problem.beta,
+                    draw_probes(problem.dimension, config.samples, config.seed, t,
+                                np.float32, work=work),
+                    config.seed, work))
+            feas = problem.feasibility_error(grad)
+            gnorm = dual_norm(family, grad)
             if not (math.isfinite(feas) and math.isfinite(gnorm)):
                 raise FloatingPointError("non-finite gradient")
             if gnorm < best_g:
@@ -329,18 +340,21 @@ def solve(problem, config: SolverConfig,
             if callback is not None:
                 callback(t, lam, grad)
             new_lam = problem.update(lam, grad, eta)
-            record["step_norm"][t] = primal_norm(family, family.diff(new_lam, lam))
+            step = primal_norm(family, family.diff(new_lam, lam))
             lam = new_lam
         except Exception as err:
             raise RuntimeError(f"solver failed at iteration {t}: {err}") from err
-        record["wall_ms"][t] = (time.perf_counter() - tic) * 1e3
-        rows = t + 1
+        # one row, in TRACE_COLUMNS order
+        for column, value in zip(record.values(), (feas, gnorm, objective, step,
+                                                   (time.perf_counter() - tic) * 1e3)):
+            column.append(value)
         if config.tol_feasibility is not None and feas <= config.tol_feasibility:
             stopped = True
             break
 
     return SolverTrace(
-        **{field: column[:rows].copy() for field, column in record.items()},
+        iterations=np.arange(t + 1),
+        **{field: np.array(column) for field, column in record.items()},
         best_iteration=best_t,
         best_dual=best_lam,
         best_grad_dual_norm=best_g,

@@ -457,7 +457,7 @@ class TestFoldedKernel:
 @pytest.mark.parametrize("base_kind", ["dense", "sparse"])
 def test_float32_expm_action_is_float64_to_float32_accuracy(base_kind, family):
     """A float32 block runs the recurrence in float32, truncated at float32
-    roundoff, and comes back as float64 within 1e-5 of the float64 result
+    roundoff, and comes back in float32 within 1e-5 of the float64 result
     (measured at most 6e-7 on the pinned workloads)."""
     rng = np.random.default_rng(29)
     op, _ = shifted_case(base_kind, family, rng)
@@ -466,14 +466,14 @@ def test_float32_expm_action_is_float64_to_float32_accuracy(base_kind, family):
     for kw in (dict(), dict(scale=-1.5, shift=1.5 * iv.lo)):
         want = expm_action(op, iv, z, tol=1e-12, **kw)
         got = expm_action(op, iv, z.astype(np.float32), tol=1e-12, **kw)
-        assert got.dtype == np.float64
+        assert got.dtype == np.float32
         assert np.linalg.norm(got - want) <= 1e-5 * np.linalg.norm(want)
     # the float32 series stops at float32 roundoff, not at tol * 1e-3
     assert len(operators._chebyshev_degree(2.0, 1e-12, np.float32)) < len(
         operators._chebyshev_degree(2.0, 1e-12))
     flat = expm_action(op, SpectralInterval(0.6, 0.6), z.astype(np.float32))
-    assert flat.dtype == np.float64
-    np.testing.assert_array_equal(flat, np.exp(0.6) * z)
+    assert flat.dtype == np.float32
+    np.testing.assert_array_equal(flat, (np.exp(0.6) * z).astype(np.float32))
 
 
 @pytest.mark.parametrize("family", ["maxcut", "strong", "weak"])
@@ -530,7 +530,7 @@ class TestColumnBlocks:
             z = signs.astype(dtype)
             assert len(operators._column_blocks(op.n, s, z.itemsize)) > 1, "S must span blocks"
             y = expm_action(op, iv, z, **kw)
-            assert y.dtype == np.float64
+            assert y.dtype == z.dtype
             for j in range(s):
                 np.testing.assert_array_equal(y[:, j],
                                               expm_action(op, iv, z[:, j:j + 1], **kw)[:, 0])
@@ -602,6 +602,24 @@ class TestColumnBlocks:
             assert not z.flags.c_contiguous
             want = expm_action(op, iv, np.ascontiguousarray(z), **kw)
             np.testing.assert_array_equal(expm_action(op, iv, z, **kw), want)
+
+    @pytest.mark.parametrize("s", [5, 300])
+    def test_work_keeps_the_buffers_for_the_next_call(self, s):
+        rng = np.random.default_rng(32)
+        op = large_shifted_operator("maxcut", rng)
+        iv = spectral_bounds(op, seed=10)
+        z = rng.choice([-1.0, 1.0], size=(s, op.n)).T
+        work = {}
+        first = [expm_action(op, iv, z.astype(dtype), work=work) for dtype in
+                 (np.float32, np.float32, np.float64)]
+        kept = dict(work)
+        second = expm_action(op, iv, z, work=work)
+        # same shape and dtype: the same result and block buffers, overwritten
+        assert first[0] is first[1] and first[2] is second
+        assert kept.keys() == work.keys() and all(kept[k] is work[k] for k in work)
+        assert all(a.dtype == np.float64 for a in work.values())
+        np.testing.assert_array_equal(second, expm_action(op, iv, z))
+        np.testing.assert_array_equal(first[1], expm_action(op, iv, z.astype(np.float32)))
 
     def test_more_lanes_than_cores_compute_every_column_once(self, monkeypatch):
         rng = np.random.default_rng(28)

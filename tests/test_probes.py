@@ -98,6 +98,15 @@ class TestDrawProbes:
         assert peak < 6 * n * num
         assert np.all(np.abs(z) == 1.0)
 
+    def test_work_keeps_the_words_for_the_next_draw(self):
+        work = {}
+        first = draw_probes(37, 11, 5, 2, np.float32, work=work)
+        words = work["draw_probes"]
+        assert np.shares_memory(first, words)
+        second = draw_probes(37, 11, 5, 3, np.float32, work=work)
+        assert work["draw_probes"] is words and np.shares_memory(second, words)
+        np.testing.assert_array_equal(second, draw_probes(37, 11, 5, 3))
+
     def test_bad_args(self):
         with pytest.raises(ValueError):
             draw_probes(4, 0, seed=0, iteration=0)
@@ -214,6 +223,25 @@ class TestEstimateFunctional:
             g = block_grams(batch, 3)[i]
             q = ones_quadratics(batch, 3)[i]
             assert abs(q - np.ones(3) @ g @ np.ones(3) / 3.0) <= 1e-14
+
+    @pytest.mark.parametrize("n, s, k", [(60, 37, 6), (1000, 553, 10)])
+    def test_float32_images_give_the_float64_functionals(self, n, s, k):
+        # every functional accumulates float32 images in float64, so it sees
+        # the values, in the order, of a float64 copy of them
+        rng = np.random.default_rng(13)
+        w32 = (rng.standard_normal((n, s)) * rng.uniform(1e-3, 10.0, (n, 1))).astype(np.float32)
+        narrow, wide = ProbeBatch(w32), ProbeBatch(w32.astype(np.float64))
+        assert narrow.images.dtype == np.float32 and narrow.r.dtype == np.float64
+        np.testing.assert_array_equal(narrow.r, wide.r)
+        assert narrow.mass == wide.mass
+        cost = SymOperator.zeros(n)
+        for problem in (MaxCutProblem(cost, np.full(n, 1.0 / n), 1.0),
+                        StrongPermSyncProblem(cost, n // k, k, 1.0),
+                        WeakPermSyncProblem(cost, n // k, k, 1.0)):
+            got, want = (problem.stochastic_gradient(b) for b in (narrow, wide))
+            for g, w in zip(*(x if isinstance(x, tuple) else (x,) for x in (got, want))):
+                assert g.dtype == np.float64
+                np.testing.assert_array_equal(g, w)
 
 
 class TestEstimatorStatistics:

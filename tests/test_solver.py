@@ -4,12 +4,15 @@ import copy
 import csv
 import json
 import math
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from scipy.optimize import minimize
 from scipy.special import logsumexp
 
+from entrodual import operators
 from entrodual.norms import dual_norm, primal_norm
 from entrodual.datasets import PermSynchModel, gen_er_maxcut, gen_permsynch
 from entrodual.operators import SpectralInterval, SymOperator, spectral_bounds
@@ -18,7 +21,7 @@ from entrodual import solver as solver_module
 from entrodual.problems import (MaxCutProblem, OTProblem, StrongPermSyncProblem,
                                 WeakPermSyncProblem)
 from entrodual.solver import (TRACE_COLUMNS, CertificateReport, SolverConfig,
-                              certify_gradient_decay, solve)
+                              SolverTrace, certify_gradient_decay, solve)
 
 
 def random_maxcut(n, beta, seed=0):
@@ -236,6 +239,63 @@ class TestStochasticPath:
         tr = solve(p, SolverConfig(iters=2, seed=11))
         assert len(tr) == 2
 
+    def test_resolved_sample_count_is_recorded(self, tmp_path):
+        p = gen_permsynch(PermSynchModel(6, 3, 4, 0.15, seed=0), 1.0, "weak")
+        tr = solve(p, SolverConfig(iters=2, seed=11))
+        assert tr.config.samples == p.default_sample_count()
+        tr.write_csv(tmp_path / "trace.csv")
+        tr.write_metadata(tmp_path / "trace.json")
+        meta = json.loads((tmp_path / "trace.json").read_text())
+        assert meta["config"]["samples"] == p.default_sample_count()
+        assert SolverTrace.read(tmp_path / "trace.csv",
+                                tmp_path / "trace.json").config == tr.config
+        # an exact run draws no probes and leaves samples unset
+        assert solve(p, SolverConfig(iters=2, dense_oracle=True)).config.samples is None
+
+    def test_every_iteration_reuses_the_block_buffers(self, monkeypatch):
+        # a fresh block per iteration lets the allocator hand it back to the
+        # system and fault it in again, which cost 15% of maxcut-n4000 solve time
+        seen = []
+
+        def spy(op, beta, interval, z, work):
+            batch = probe_gibbs(op, beta, interval, z, work=work)
+            seen.append((work, np.shares_memory(z, work["draw_probes"]),
+                         batch.images is work["expm_action"]))
+            return batch
+
+        monkeypatch.setattr(solver_module, "probe_gibbs", spy)
+        solve(gen_er_maxcut(1030, seed=3), SolverConfig(iters=4, samples=300, seed=1))
+        assert len(seen) == 4
+        assert all(work is seen[0][0] and kept_z and kept_images
+                   for work, kept_z, kept_images in seen)
+
+    @pytest.mark.parametrize("lane_count, blocks", [(1, 3), (2, 4)])
+    def test_one_probe_block_in_flight(self, monkeypatch, lane_count, blocks):
+        """A run holds one set of probe block buffers, reused by every
+        iteration, and no earlier batch: the float32 probe words and images
+        (8 n S bytes), three buffers per lane (4 n S for one lane of 70
+        columns, 6 n S for two of 52), and, while the interval is found, the
+        64 x n float64 Lanczos basis (2.5 n S). Keeping the last float64 batch
+        and widening the images took 25 and 27 n S."""
+        pool = ThreadPoolExecutor(max_workers=lane_count)
+        monkeypatch.setattr(operators, "_LANES", lane_count)
+        monkeypatch.setattr(operators, "_POOL", pool)
+        n, samples = 3000, 208
+        p = gen_er_maxcut(n, seed=0)
+        assert len(operators._column_blocks(n, samples, 4)) == blocks
+        try:
+            solve(p, SolverConfig(iters=1, samples=samples, seed=1))  # caches the fold pattern
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                solve(p, SolverConfig(iters=4, samples=samples, seed=1))
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+        finally:
+            pool.shutdown()
+        assert peak < 20 * n * samples
+
     def test_block_dual_problem_runs(self):
         rng = np.random.default_rng(8)
         n_img, k = 3, 2
@@ -273,8 +333,8 @@ class TestProbeInterval:
         cfg = SolverConfig(iters=4, samples=32, seed=2)
         used = []
 
-        def spy(op, beta, interval, z):
-            batch = probe_gibbs(op, beta, interval, z)
+        def spy(op, beta, interval, z, work):
+            batch = probe_gibbs(op, beta, interval, z, work=work)
             used.append((interval.lo, interval.hi, op.inf_norm_bound(), z.dtype,
                          batch.mass / z.size))
             return batch
@@ -379,8 +439,8 @@ class TestPrecisionLadder:
     def spy(monkeypatch):
         calls = []
 
-        def spy(op, beta, interval, z):
-            batch = probe_gibbs(op, beta, interval, z)
+        def spy(op, beta, interval, z, work):
+            batch = probe_gibbs(op, beta, interval, z, work=work)
             calls.append((interval, z.dtype, batch.mass / z.size))
             return batch
 
@@ -594,6 +654,19 @@ class TestTraceBookkeeping:
 
 
 class TestSerialization:
+    def test_record_grows_with_the_iterations_run(self):
+        p = random_ot(4, 5, beta=7.0, seed=1)
+        tol = solve(p, SolverConfig(iters=4)).feasibility[-1]
+        tracemalloc.start()
+        try:
+            tr = solve(p, SolverConfig(iters=10**6, tol_feasibility=tol))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert tr.stopped_early and len(tr) <= 4
+        # a record preallocated for every requested iteration took 56 MB
+        assert peak < 1e6
+
     def test_csv_round_trip(self, tmp_path):
         p = random_maxcut(6, beta=2.0, seed=5)
         tr = solve(p, SolverConfig(iters=8, dense_oracle=True))
