@@ -25,7 +25,7 @@ from entrodual.problems import (MaxCutProblem, OTProblem,
                                 StrongPermSyncProblem, WeakPermSyncProblem)
 from entrodual.rounding import round_maxcut, round_ot, round_strong_ps
 from entrodual.solver import (SolverConfig, SolverTrace,
-                              certify_gradient_decay, solve)
+                              certify_gradient_decay, solve, write_json)
 
 __all__ = ["main", "load_problem", "write_problem"]
 
@@ -51,9 +51,7 @@ def write_problem(problem, out_dir) -> Path:
                          symmetry="symmetric")
         if isinstance(problem, MaxCutProblem):
             _write_vector(out / "b.txt", problem.b)
-    with open(out / "meta.json", "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "meta.json", meta)
     return out
 
 
@@ -180,9 +178,7 @@ def _cmd_round(args) -> int:
     report = {"schema": 1, "kind": args.kind, "certificate": float(cert),
               "objective_bound": float(cert),
               "measured_shift": float(measured), "payload": "rounded.mtx"}
-    with open(out / "round.json", "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "round.json", report)
     print(f"rounded {args.kind} estimate: objective shift at most "
           f"{cert:.6e}, measured {measured:.6e}; wrote {out}")
     return 0

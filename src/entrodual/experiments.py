@@ -9,7 +9,6 @@ curves are taken over the common iteration prefix of the successful runs.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -17,7 +16,7 @@ import numpy as np
 
 from entrodual.datasets import (PermSynchModel, gen_er_maxcut, gen_permsynch,
                                 gen_synthetic_ot, load_mnist_pair)
-from entrodual.solver import TRACE_COLUMNS, SolverConfig, solve
+from entrodual.solver import TRACE_COLUMNS, SolverConfig, solve, write_json
 
 __all__ = ["ExperimentSpec", "run_experiment", "build_problem"]
 
@@ -110,8 +109,6 @@ def run_experiment(spec: ExperimentSpec) -> dict:
         summary["averaged_csv"] = str(avg_path)
         summary["averaged_rows"] = _write_averaged_csv(avg_path, traces)
     summary_path = out / f"{spec.name}_summary.json"
-    with open(summary_path, "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(summary_path, summary)
     summary["summary_json"] = str(summary_path)
     return summary

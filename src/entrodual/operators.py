@@ -5,9 +5,8 @@ symmetric CSR matrix. Shifting the cost by a dual point is one folded() write
 of alpha (cost + diagonal + block diagonal) + shift I into a pattern cached per
 cost, and the result keeps its own pattern, so expm_action folds in the
 Chebyshev affine map with one more write and each term of the recurrence costs
-a single product. The recurrence runs in the precision of the block it is
-given, float32 for a float32 block, truncated at float32 roundoff, and float64
-for anything else; its output has that precision too. A wide probe block runs
+a single product. The recurrence runs in the precision of its block (see
+probes.probe_gibbs for the error of each precision). A wide probe block runs
 through the recurrence in column blocks of 1 MiB per array, as many as a
 multiple of the thread count, one thread per usable core; each column is
 computed on its own, so within one precision the result equals a
@@ -24,8 +23,8 @@ from typing import Optional
 import numpy as np
 import scipy.io
 import scipy.sparse as sp
+from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.blas import daxpy, dgemv, get_blas_funcs
-from scipy.linalg.lapack import dstemr
 from scipy.sparse import _sparsetools
 from scipy.special import ive
 
@@ -76,7 +75,8 @@ class SymOperator:
     def __init__(self, base):
         self.base = base
         self.n = base.shape[0]
-        assert base.shape == (self.n, self.n)
+        if base.shape != (self.n, self.n):
+            raise ValueError(f"base must be square, got shape {base.shape}")
         self._patterns = {}
 
     # ---- constructors -------------------------------------------------
@@ -170,8 +170,10 @@ class SymOperator:
         if blocks is not None:
             blocks = np.asarray(blocks, dtype=float)
             nb, k, k2 = blocks.shape
-            assert k == k2 and nb * k == self.n, "block stack does not tile the diagonal"
-        assert diag is None or np.shape(diag) == (self.n,), "diag needs one entry per row"
+            if k != k2 or nb * k != self.n:
+                raise ValueError(f"blocks {blocks.shape} do not tile the diagonal of {self.n}")
+        if diag is not None and np.shape(diag) != (self.n,):
+            raise ValueError(f"diag needs one entry per row, got shape {np.shape(diag)}")
         if k not in self._patterns:
             self._patterns[k] = _fold_pattern(self.base, k)
         indptr, indices, pos = self._patterns[k]
@@ -223,7 +225,8 @@ class SpectralInterval:
         return self.hi - self.lo
 
     def padded(self, r: float) -> "SpectralInterval":
-        assert r >= 0.0
+        if not r >= 0.0:
+            raise ValueError(f"r must be nonnegative, got {r!r}")
         return SpectralInterval(self.lo - r, self.hi + r, self.certified)
 
 
@@ -233,73 +236,54 @@ _RITZ_EVERY = 4
 # that end of the spectrum outside the returned interval (see
 # _min_lanczos_steps)
 _MISS_PROBABILITY = 1e-3
+_MARGIN = 0.05  # share of its width added to each side of the interval
+_RITZ_TOL = 1e-2  # converged Ritz residual, relative to max(1, |theta|)
+_MAX_STEPS = 64  # most Lanczos basis vectors, so most products, per run
 
 
-def _min_lanczos_steps(n: int, margin: float) -> int:
+def _min_lanczos_steps(n: int) -> int:
     """Lanczos steps after which, for any spectrum, an extreme Ritz value
-    lies more than eps * width inside the spectrum, eps = margin / (1 + 2
-    margin), with probability at most _MISS_PROBABILITY.
+    lies more than eps * width inside the spectrum, eps = _MARGIN / (1 + 2
+    _MARGIN), with probability at most _MISS_PROBABILITY.
 
     Kuczynski and Wozniakowski (1992) bound that chance, for a uniformly
     random start, by 1.648 sqrt(n) exp(-sqrt(eps) (2k - 1)) after k steps;
     Lanczos is shift-invariant, so the bound holds for both ends. An error of
     eps * width at both ends still leaves the end inside the interval once
-    it is inflated by margin times its width.
+    it is inflated by _MARGIN times its width.
     """
-    eps = margin / (1.0 + 2.0 * margin)
-    if eps <= 0.0:
-        return n
+    eps = _MARGIN / (1.0 + 2.0 * _MARGIN)
     log_odds = math.log(1.648 * math.sqrt(n) / _MISS_PROBABILITY)
     return math.ceil((log_odds / math.sqrt(eps) + 1.0) / 2.0)
 
 
-def _extreme_ritz(alpha: np.ndarray, beta: np.ndarray):
-    """Smallest and largest eigenvalues of the Lanczos tridiagonal and the last
-    components of their unit eigenvectors.
-
-    beta holds the off-diagonal plus one trailing entry; LAPACK's stemr uses
-    that array as workspace, so each call gets a copy.
-    """
-    j = alpha.size
-    ends, last = np.empty(2), np.empty(2)
-    for i, k in enumerate((1, j)):
-        _, w, vec, info = dstemr(alpha, beta.copy(), 2, 0.0, 0.0, k, k)
-        if info:
-            raise np.linalg.LinAlgError(f"stemr failed with info={info}")
-        ends[i], last[i] = w[0], vec[-1, 0]
-    return ends, last
-
-
-def spectral_bounds(op: SymOperator, *, margin: float = 0.05, tol: float = 1e-2,
-                    max_iter: int = 64, seed: int = 0) -> SpectralInterval:
+def spectral_bounds(op: SymOperator, *, seed: int = 0) -> SpectralInterval:
     """Estimate an interval containing the spectrum of a symmetric operator.
 
     One Lanczos run from a seeded Gaussian start, with full
-    reorthogonalisation and at most max_iter basis vectors, so at most
-    max_iter products with op's CSR matrix and an n x max_iter basis. It
+    reorthogonalisation and at most _MAX_STEPS basis vectors, so at most
+    _MAX_STEPS products with op's CSR matrix and an n x _MAX_STEPS basis. It
     stops once both extreme Ritz pairs (theta, y) have residual
-    r = ||op y - theta y|| at most tol * max(1, |theta|), theta the larger
-    in magnitude of the two; each [theta - r, theta + r] then holds an
+    r = ||op y - theta y|| at most _RITZ_TOL * max(1, |theta|), theta the
+    larger in magnitude of the two; each [theta - r, theta + r] then holds an
     eigenvalue. The interval
     [theta_min - r_min, theta_max + r_max] is inflated on both sides by
-    margin times its width, so multiplicity-n spectra (width zero) stay
+    _MARGIN times its width, so multiplicity-n spectra (width zero) stay
     tight. Ritz values lie inside the spectrum, so a small residual alone
     does not show that an extreme Ritz value has found the extreme
     eigenvalue: a start nearly orthogonal to its eigenvector can hide it.
     Convergence is therefore tested only after the number of steps that,
     from a random start, bounds that chance for any spectrum (see
-    _min_lanczos_steps); when n is below both that number and max_iter, the
-    run spans the whole space and is exact. certified is False when the
+    _min_lanczos_steps); when n is below both that number and _MAX_STEPS,
+    the run spans the whole space and is exact. certified is False when the
     basis ran out first; the interval is then an estimate.
     """
-    if margin < 0.0:
-        raise ValueError("margin must be nonnegative")
-    m = max(1, min(max_iter, op.n))
+    m = max(1, min(_MAX_STEPS, op.n))
     basis = np.empty((m, op.n))
     alpha, beta = np.empty(m), np.zeros(m)
     v = np.random.default_rng(seed).standard_normal(op.n)
     basis[0] = v / np.linalg.norm(v)
-    first_check = _min_lanczos_steps(op.n, margin)
+    first_check = _min_lanczos_steps(op.n)
     scale = 0.0
     for j in range(m):
         w = op.apply(basis[j])
@@ -315,14 +299,20 @@ def spectral_bounds(op: SymOperator, *, margin: float = 0.05, tol: float = 1e-2,
         # a breakdown means the Krylov space is invariant: it holds no more
         stop = beta[j] <= 1e-12 * scale or j + 1 == m
         if stop or (j + 1 >= first_check and (j + 1) % _RITZ_EVERY == 0):
-            ends, last = _extreme_ritz(alpha[: j + 1], beta[: j + 1])
-            resid = beta[j] * np.abs(last)
-            converged = bool(np.all(resid <= tol * max(1.0, np.abs(ends).max())))
+            # the extreme eigenpairs of the tridiagonal, selected by index;
+            # checking alpha and beta for NaN would nearly double a call's cost
+            pairs = [eigh_tridiagonal(alpha[: j + 1], beta[:j], select="i",
+                                      select_range=(k, k), lapack_driver="stemr",
+                                      check_finite=False)
+                     for k in (0, j)]
+            ends = np.array([vals[0] for vals, _ in pairs])
+            resid = beta[j] * np.abs([y[-1, 0] for _, y in pairs])
+            converged = bool(np.all(resid <= _RITZ_TOL * max(1.0, np.abs(ends).max())))
             if stop or converged:
                 break
         basis[j + 1] = w / beta[j]
     lo, hi = ends[0] - resid[0], ends[1] + resid[1]
-    pad = margin * (hi - lo)
+    pad = _MARGIN * (hi - lo)
     return SpectralInterval(float(lo - pad), float(hi + pad), certified=converged)
 
 

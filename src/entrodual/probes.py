@@ -77,7 +77,9 @@ class ProbeBatch:
     mass: float = field(init=False)
 
     def __post_init__(self):
-        assert self.images.ndim == 2 and self.images.shape[1] >= 1
+        if self.images.ndim != 2 or self.images.shape[1] < 1:
+            raise ValueError("images must be a 2-d array of at least one column, "
+                             f"got shape {self.images.shape}")
         object.__setattr__(self, "r", np.einsum("ns,ns->n", self.images,
                                                 self.images, dtype=np.float64))
         object.__setattr__(self, "mass", float(self.r.sum()))

@@ -203,7 +203,7 @@ class OTProblem:
 def check_count(name: str, value) -> None:
     """Raise, naming the field, unless value is an integer; a bool is not."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+        raise ValueError(f"{name} must be an integer (finite, not a bool), got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -7,14 +7,13 @@ fresh batch per iteration. On the probe path every iteration encloses the
 spectrum of its shifted cost with a short Lanczos run, so the probe images
 stay O(||z||) at any beta. An uncertified interval, or a batch whose images
 grew (which a lower end at or below the smallest eigenvalue rules out), is
-redone on the Gershgorin interval. Batches run in float32 and keep float32
-images, which the problems read in float64; one whose images shrank below
-float32 roundoff is redone in float64, and one whose images shrank below the
-float64 Chebyshev error raises. A run holds one probe block: every iteration
-draws its probes and writes its images into the same buffers, and a batch is
-released once its gradient is read. TRACE_COLUMNS is the one trace.csv
-schema: the writer, the reader, solve() and the averaged experiment curves
-walk it; the record grows with the iterations run, not those requested.
+redone on the Gershgorin interval. Batches run in float32, and _probe_batch
+says when one is redone in float64 or refused. A run holds one probe block:
+every iteration draws its probes and writes its images into the same buffers,
+and a batch is released once its gradient is read. TRACE_COLUMNS is the one
+trace.csv schema: the writer, the reader, solve() and the averaged
+experiment curves walk it; the record grows with the iterations run, not those
+requested. write_json writes every JSON file of the package.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ import numpy as np
 from entrodual.norms import dual_norm, primal_norm
 from entrodual.operators import SpectralInterval, spectral_bounds
 from entrodual.probes import draw_probes, probe_gibbs
-from entrodual.problems import OTProblem
+from entrodual.problems import OTProblem, check_count
 
 __all__ = ["SolverConfig", "SolverTrace", "CertificateReport", "solve",
            "certify_gradient_decay"]
@@ -91,12 +90,10 @@ class SolverConfig:
     tol_feasibility: Optional[float] = None
 
     def __post_init__(self):
-        for name in ("iters", "samples", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not (
-                    isinstance(value, (int, np.integer))
-                    or (name == "samples" and value is None)):
-                raise ValueError(f"{name} must be a finite integer, got {value!r}")
+        check_count("iters", self.iters)
+        check_count("seed", self.seed)
+        if self.samples is not None:
+            check_count("samples", self.samples)
         if not isinstance(self.dense_oracle, bool):
             raise ValueError(
                 f"dense_oracle must be true or false, got {self.dense_oracle!r}")
@@ -228,9 +225,20 @@ class SolverTrace:
         }
 
     def write_metadata(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.metadata(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.metadata())
+
+
+def _number(value):
+    """The Python number a numpy scalar holds, for json.dumps; else TypeError."""
+    if isinstance(value, (np.integer, np.floating, np.bool_)):
+        return value.item()
+    raise TypeError(f"{type(value).__name__} {value!r} is not JSON serializable")
+
+
+def write_json(path, value) -> None:
+    """Write value as indented, key-sorted JSON, whole or not at all: the text is
+    built first, so a value JSON cannot hold raises TypeError and leaves no file."""
+    Path(path).write_text(json.dumps(value, indent=2, sort_keys=True, default=_number) + "\n")
 
 
 @functools.cache
@@ -288,9 +296,9 @@ def _probe_batch(op, beta: float, z: np.ndarray, seed: int, work: dict):
         batch = probe_gibbs(op, beta, interval, z.astype(float), work=work)
     floor = _FLOAT64_FLOOR * z.size
     if batch.mass < floor:
-        raise FloatingPointError(f"probe mass {batch.mass:.6g} is below 1e-14 n S = "
-                                 f"{floor:.6g}, where the Chebyshev error is "
-                                 "larger than sqrt(1e-8) of the images")
+        raise FloatingPointError(f"probe mass {batch.mass:.6g} is below "
+                                 f"{_FLOAT64_FLOOR:g} n S = {floor:.6g}, where the "
+                                 "Chebyshev error is larger than sqrt(1e-8) of the images")
     return batch
 
 

@@ -35,6 +35,12 @@ class TestProblemDirs:
         assert np.allclose(loaded.b, direct.b)
         assert loaded.beta == 3.0
 
+    def test_numpy_beta_written_as_the_number_it_holds(self, tmp_path):
+        # json cannot write a float32 itself; meta.json must still hold beta
+        # as a number, or the directory has a cost and vectors but no meta
+        write_problem(gen_er_maxcut(30, beta=np.float32(10)), tmp_path)
+        assert load_problem(tmp_path).beta == 10.0
+
     def test_ot_round_trip(self, tmp_path):
         d = tmp_path / "ot"
         assert run(["gen", "ot-synthetic", "--k", 4, "--beta", 6,

@@ -1,4 +1,5 @@
 import itertools
+import math
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -268,7 +269,7 @@ class TestSpectralBounds:
         assert iv.certified
 
     def test_identity(self):
-        iv = spectral_bounds(SymOperator.from_dense(np.eye(4)), tol=1e-6)
+        iv = spectral_bounds(SymOperator.from_dense(np.eye(4)))
         assert abs(iv.lo - 1.0) <= 1e-6 and abs(iv.hi - 1.0) <= 1e-6
 
     def test_contains_dense_range_12x12(self):
@@ -293,10 +294,11 @@ class TestSpectralBounds:
         iv = spectral_bounds(op)
         assert iv.lo <= -1.0 and iv.hi >= 1.0
 
-    def test_uncertified_on_no_budget(self):
+    def test_uncertified_on_no_budget(self, monkeypatch):
         rng = np.random.default_rng(1)
         a = random_symmetric(rng, 30)
-        iv = spectral_bounds(SymOperator.from_dense(a), tol=1e-12, max_iter=1)
+        monkeypatch.setattr(operators, "_MAX_STEPS", 1)
+        iv = spectral_bounds(SymOperator.from_dense(a))
         assert not iv.certified
 
     def test_interval_helpers(self):
@@ -304,6 +306,30 @@ class TestSpectralBounds:
         assert iv.padded(0.5).hi == 3.5
         with pytest.raises(ValueError):
             SpectralInterval(1.0, 0.0)
+
+
+class TestInputChecks:
+    """Checks of public inputs raise ValueError, so they also run under python -O."""
+
+    def test_base_must_be_square(self):
+        with pytest.raises(ValueError, match="base must be square"):
+            SymOperator(sp.csr_array((2, 3)))
+
+    @pytest.mark.parametrize("shape", [(3, 2, 2), (2, 2, 3)])
+    def test_blocks_must_tile_the_diagonal(self, shape):
+        with pytest.raises(ValueError, match="do not tile"):
+            SymOperator.from_dense(np.eye(4)).folded(blocks=np.zeros(shape))
+
+    def test_diag_needs_one_entry_per_row(self):
+        # one entry would broadcast onto every row: diagonal [6, 7, 8]
+        op = SymOperator.from_dense(np.diag([1.0, 2.0, 3.0]))
+        with pytest.raises(ValueError, match="diag needs one entry per row"):
+            op.folded(diag=np.array([5.0]))
+
+    @pytest.mark.parametrize("r", [-0.5, math.nan])
+    def test_padding_must_be_nonnegative(self, r):
+        with pytest.raises(ValueError, match="r must be nonnegative"):
+            SpectralInterval(0.0, 1.0).padded(r)
 
 
 class TestExpmAction:

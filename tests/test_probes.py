@@ -177,6 +177,12 @@ class TestProbeGibbs:
         assert 0.0 < batch.mass <= z.size * (1.0 + 1e-6)
 
 
+    @pytest.mark.parametrize("images", [np.ones(3), np.ones((3, 0))], ids=["1-d", "empty"])
+    def test_batch_needs_a_2d_block_of_columns(self, images):
+        with pytest.raises(ValueError, match="images"):
+            ProbeBatch(images)
+
+
 class TestEstimateFunctional:
     """Diagonal, block Gram and block-sum functionals of one probe batch."""
 

@@ -2,6 +2,7 @@
 
 import copy
 import csv
+import inspect
 import json
 import math
 import tracemalloc
@@ -469,6 +470,15 @@ class TestPrecisionLadder:
         assert mass32 < solver_module._FLOAT32_FLOOR
         assert mass64 >= solver_module._FLOAT64_FLOOR
 
+    def test_floors_follow_the_series_target(self):
+        # the truncation error per unit of probe length, max(tol 1e-3, eps),
+        # reaches sqrt(tol) of the images at a mass of (error / sqrt(tol))^2 n S
+        tol = inspect.signature(probe_gibbs).parameters["tol"].default
+        for floor, dtype in ((solver_module._FLOAT32_FLOOR, np.float32),
+                             (solver_module._FLOAT64_FLOOR, np.float64)):
+            want = (max(tol * 1e-3, float(np.finfo(dtype).eps)) / math.sqrt(tol)) ** 2
+            assert math.isclose(floor, want, rel_tol=1e-15), (dtype, floor, want)
+
     @pytest.mark.parametrize("make", [
         lambda: gen_er_maxcut(300, seed=3, beta=10.0),
         lambda: gen_permsynch(PermSynchModel(12, 4, 6, 0.15, seed=0), 1.0, "strong")],
@@ -708,6 +718,25 @@ class TestSerialization:
         assert meta["iterations_run"] == 6
         assert isinstance(meta["build"], str) and meta["build"]
         assert meta["best_iteration"] == int(np.argmin(tr.grad_dual_norm))
+
+    def test_numpy_integer_config_round_trips(self, tmp_path):
+        # numpy counts pass the config checks, so trace.json must hold them
+        # as numbers that read() accepts
+        cfg = SolverConfig(iters=np.int64(3), samples=np.int64(8), seed=np.int64(2))
+        tr = solve(random_maxcut(6, beta=2.0, seed=5), cfg)
+        tr.write_csv(tmp_path / "trace.csv")
+        tr.write_metadata(tmp_path / "trace.json")
+        assert SolverTrace.read(tmp_path / "trace.csv", tmp_path / "trace.json").config == cfg
+
+    def test_json_writer_writes_numbers_or_no_file(self, tmp_path):
+        path = tmp_path / "out.json"
+        solver_module.write_json(path, {"b": np.float32(0.5), "a": np.int64(2),
+                                        "c": [np.bool_(True)]})
+        assert path.read_text() == '{\n  "a": 2,\n  "b": 0.5,\n  "c": [\n    true\n  ]\n}\n'
+        path.unlink()
+        with pytest.raises(TypeError, match="object"):
+            solver_module.write_json(path, {"a": 1, "b": object()})
+        assert not path.exists()
 
     def test_build_label_asks_git_once_per_process(self, monkeypatch):
         calls = []
