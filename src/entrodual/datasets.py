@@ -53,10 +53,12 @@ def gen_er_maxcut(n: int, p: float | None = None, seed: int = 0,
     deg = np.zeros(n)
     np.add.at(deg, rows, 1.0)
     np.add.at(deg, cols, 1.0)
-    # C = -L/4: +1/4 on edges, -deg/4 on the diagonal
-    i = np.concatenate([rows, np.arange(n)])
-    j = np.concatenate([cols, np.arange(n)])
-    v = np.concatenate([np.full(rows.size, 0.25), -deg / 4.0])
+    # C = -L/4: +1/4 on edges, -deg/4 on the diagonal; an isolated vertex
+    # gets no diagonal entry, which would be a stored -0.0
+    linked = np.flatnonzero(deg)
+    i = np.concatenate([rows, linked])
+    j = np.concatenate([cols, linked])
+    v = np.concatenate([np.full(rows.size, 0.25), -deg[linked] / 4.0])
     cost = SymOperator.from_triplets(n, i, j, v)
     return MaxCutProblem(cost, np.full(n, 1.0 / n), beta)
 

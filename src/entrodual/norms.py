@@ -5,7 +5,10 @@ Three geometries cover the four problems: the sup norm on a single vector
 spectral norm on a stack of symmetric blocks (BLOCK_SPECTRAL). Each is one
 shared object whose primal(x), dual(g) and diff(a, b) know the payload's
 shape; a problem's norm_family() returns its geometry, and primal_norm and
-dual_norm are the module-level entry points the solver calls.
+dual_norm are the module-level entry points the solver calls. prepare(g)
+gives a gradient the form its geometry reads fastest: BLOCK_SPECTRAL
+decomposes each block once, into a BlockSpectrum that its norms and
+step_block read in place of the stack; the vector geometries return g.
 
 Each dual step is the exact minimizer of the linearized objective plus a
 proximal term ||delta||^2 / (2 eta): the step length is always
@@ -16,12 +19,15 @@ gradient. Every step returns a fresh payload and leaves its inputs unchanged.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 __all__ = [
     "LINF",
     "PAIR",
     "BLOCK_SPECTRAL",
+    "BlockSpectrum",
     "primal_norm",
     "dual_norm",
     "step_linf",
@@ -43,6 +49,9 @@ class LinfGeometry:
     def diff(self, a, b):
         return a - b
 
+    def prepare(self, g):
+        return g
+
 
 class PairGeometry:
     """Payload a pair (u, v); primal sqrt(2(max|u|^2 + max|v|^2)),
@@ -62,22 +71,48 @@ class PairGeometry:
     def diff(self, a, b):
         return (a[0] - b[0], a[1] - b[1])
 
+    def prepare(self, g):
+        return g
+
+
+@dataclass(frozen=True)
+class BlockSpectrum:
+    """A symmetric (N, K, K) stack with the eigendecomposition of each block,
+    blocks[i] = vectors[i] @ diag(values[i]) @ vectors[i].T."""
+
+    blocks: np.ndarray
+    values: np.ndarray
+    vectors: np.ndarray
+
 
 class BlockSpectralGeometry:
     """Payload an (N, K, K) symmetric stack; primal max spectral norm, dual
-    sum of trace norms."""
+    sum of trace norms. Each norm also reads a BlockSpectrum."""
 
     @staticmethod
-    def _abs_eigvals(x) -> np.ndarray:
-        # eigvalsh reads one triangle, so an asymmetric stack must raise here
-        # instead of giving a wrong norm
+    def _checked(x) -> np.ndarray:
+        # eigvalsh and eigh read one triangle, so an asymmetric stack must
+        # raise here instead of giving a wrong norm or step
         b = np.asarray(x, dtype=float)
         if b.ndim != 3 or b.shape[1] != b.shape[2]:
             raise ValueError("block payload must have shape (N, K, K)")
         scale = max(1.0, np.abs(b).max(initial=0.0))
         if np.abs(b - b.transpose(0, 2, 1)).max(initial=0.0) > 1e-12 * scale:
             raise ValueError("blocks must be symmetric")
-        return np.abs(np.linalg.eigvalsh(b))
+        return b
+
+    def _abs_eigvals(self, x) -> np.ndarray:
+        if isinstance(x, BlockSpectrum):
+            return np.abs(x.values)
+        return np.abs(np.linalg.eigvalsh(self._checked(x)))
+
+    def prepare(self, g) -> BlockSpectrum:
+        """g with each block decomposed, one eigh for the whole stack; a
+        BlockSpectrum is returned as it is."""
+        if isinstance(g, BlockSpectrum):
+            return g
+        b = self._checked(g)
+        return BlockSpectrum(b, *np.linalg.eigh(b))
 
     def primal(self, x) -> float:
         return float(self._abs_eigvals(x).max(initial=0.0))
@@ -129,23 +164,30 @@ def matrix_sign(g: np.ndarray) -> np.ndarray:
     """
     g = np.asarray(g, dtype=float)
     single = g.ndim == 2
-    stack = g[None] if single else g
-    evals, vecs = np.linalg.eigh(stack)
-    scale = np.maximum(np.abs(evals).max(axis=1, keepdims=True), 1e-300)
-    s = np.sign(evals) * (np.abs(evals) > 1e-12 * scale)
-    out = np.einsum("bik,bk,bjk->bij", vecs, s, vecs)
-    out = (out + out.transpose(0, 2, 1)) / 2.0
+    out = _sign(*np.linalg.eigh(g[None] if single else g))
     return out[0] if single else out
 
 
-def step_block(lams: np.ndarray, grads: np.ndarray, eta: float) -> np.ndarray:
-    """Each block moves by eta * (sum_j trace_norm(G_j)) * matrix_sign(G_i)."""
+def _sign(evals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """matrix_sign of the stack whose blocks have these eigenpairs."""
+    scale = np.maximum(np.abs(evals).max(axis=1, keepdims=True), 1e-300)
+    s = np.sign(evals) * (np.abs(evals) > 1e-12 * scale)
+    out = (vecs * s[:, None, :]) @ vecs.transpose(0, 2, 1)
+    return (out + out.transpose(0, 2, 1)) / 2.0
+
+
+def step_block(lams: np.ndarray, grads, eta: float) -> np.ndarray:
+    """Each block moves by eta * (sum_j trace_norm(G_j)) * matrix_sign(G_i).
+
+    grads is a symmetric (N, K, K) stack or its BlockSpectrum, whose
+    decomposition then serves the step too.
+    """
     lams = np.asarray(lams, dtype=float)
-    grads = np.asarray(grads, dtype=float)
-    if lams.shape != grads.shape:
+    g = BLOCK_SPECTRAL.prepare(grads)
+    if lams.shape != g.blocks.shape:
         raise ValueError("shape mismatch between point and gradient")
-    total = np.abs(np.linalg.eigvalsh(grads)).sum()
+    total = np.abs(g.values).sum()
     if total == 0.0:
         return lams.copy()
-    return lams - eta * total * matrix_sign(grads)
+    return lams - eta * total * _sign(g.values, g.vectors)
 

@@ -257,7 +257,8 @@ def _min_lanczos_steps(n: int) -> int:
     return math.ceil((log_odds / math.sqrt(eps) + 1.0) / 2.0)
 
 
-def spectral_bounds(op: SymOperator, *, seed: int = 0) -> SpectralInterval:
+def spectral_bounds(op: SymOperator, *, seed: int = 0,
+                    work: Optional[dict] = None) -> SpectralInterval:
     """Estimate an interval containing the spectrum of a symmetric operator.
 
     One Lanczos run from a seeded Gaussian start, with full
@@ -276,10 +277,11 @@ def spectral_bounds(op: SymOperator, *, seed: int = 0) -> SpectralInterval:
     from a random start, bounds that chance for any spectrum (see
     _min_lanczos_steps); when n is below both that number and _MAX_STEPS,
     the run spans the whole space and is exact. certified is False when the
-    basis ran out first; the interval is then an estimate.
+    basis ran out first; the interval is then an estimate. With a work dict
+    the basis is kept there (see reused) for the next call with it.
     """
     m = max(1, min(_MAX_STEPS, op.n))
-    basis = np.empty((m, op.n))
+    basis = reused(work, "spectral_bounds", (m, op.n), np.float64)
     alpha, beta = np.empty(m), np.zeros(m)
     v = np.random.default_rng(seed).standard_normal(op.n)
     basis[0] = v / np.linalg.norm(v)
@@ -320,18 +322,22 @@ def _chebyshev_degree(half_width: float, tol: float, dtype=np.float64) -> np.nda
     """Scaled Chebyshev coefficients of exp on the given half-width, truncated.
 
     Returns q with q[0] = I_0(h) e^{-h} and q[k] = 2 I_k(h) e^{-h}; the full
-    series sums to 1 and the dropped tail is below max(tol * 1e-3, eps), eps
-    the roundoff of dtype: a tail below it would be lost in the recurrence.
+    series sums to 1. Every |T_k| is at most 1 on [-1, 1], so the dropped
+    tail sum_{k >= len(q)} q_k bounds the truncation error per unit of input.
+    q keeps the fewest terms whose tail is at most max(tol * 1e-3, eps), eps
+    the roundoff of dtype, since a tail below it would be lost in the
+    recurrence; but never fewer than two, as _clenshaw reads q_0 and q_1.
+    The tail is summed from its small end, so it stays accurate far below
+    eps.
     """
     h = half_width
     kmax = int(np.ceil(h + 12.0 * np.sqrt(h + 4.0) + 60.0))
     q = ive(np.arange(kmax + 1), h)
     q[1:] *= 2.0
     target = max(tol * 1e-3, np.finfo(dtype).eps)
-    tail = 1.0 - np.cumsum(q)
-    keep = np.nonzero(tail <= target)[0]
-    d = int(keep[0]) + 2 if keep.size else kmax
-    return q[: min(d, kmax) + 1]
+    # tail[d] = sum_{k > d} q_k, what keeping q_0 .. q_d drops
+    tail = np.append(np.cumsum(q[:0:-1])[::-1], 0.0)
+    return q[: max(1, int(np.argmax(tail <= target))) + 1]
 
 
 def _clenshaw(double: SymOperator, q: np.ndarray, z: np.ndarray, b1: np.ndarray,

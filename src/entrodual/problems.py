@@ -231,6 +231,10 @@ class _SyncProblem(_GibbsProblem):
                 "beta": self.beta}
 
 
+# float64 entries of image rows widened at once for a block Gram (512 KiB)
+_GRAM_ENTRIES = 2**16
+
+
 @dataclass(frozen=True)
 class StrongPermSyncProblem(_SyncProblem):
     """Permutation synchronization SDP with full diagonal blocks pinned to I/n.
@@ -255,10 +259,17 @@ class StrongPermSyncProblem(_SyncProblem):
 
     def stochastic_gradient(self, batch: ProbeBatch) -> np.ndarray:
         self._check_batch(batch)
-        rows = batch.images.reshape(self.num_images, self.block_size,
-                                    batch.num_samples)
-        blocks = np.einsum("nks,nls->nkl", rows, rows, dtype=np.float64) / batch.mass
-        return blocks - np.eye(self.block_size) / self.dimension
+        k, s = self.block_size, batch.num_samples
+        rows = batch.images.reshape(self.num_images, k, s)
+        blocks = np.empty((self.num_images, k, k))
+        # each block's Gram as a float64 product, a few images at a time: a
+        # float64 copy of all the images would raise the peak footprint
+        step = max(1, _GRAM_ENTRIES // (k * s))
+        for i in range(0, self.num_images, step):
+            chunk = rows[i:i + step].astype(np.float64, copy=False)
+            np.matmul(chunk, chunk.transpose(0, 2, 1), out=blocks[i:i + step])
+        blocks /= batch.mass
+        return blocks - np.eye(k) / self.dimension
 
     def update(self, lam, grad, eta: float) -> np.ndarray:
         return step_block(lam, grad, eta)

@@ -278,10 +278,11 @@ def _probe_batch(op, beta: float, z: np.ndarray, seed: int, work: dict):
     n S raises: its series is truncated at 1e-11 per unit of probe length,
     which there exceeds sqrt(1e-8) of the images. A wider interval would only
     shrink them further, so that batch is not redone. Every batch keeps its
-    images in work, so a redo overwrites the batch it replaces.
+    images in work, so a redo overwrites the batch it replaces, and the
+    Lanczos basis stays there too.
     """
     ceiling = z.size * (1.0 + 1e-6)
-    interval = spectral_bounds(op, seed=seed)
+    interval = spectral_bounds(op, seed=seed, work=work)
     batch = probe_gibbs(op, beta, interval, z, work=work) if interval.certified else None
     if batch is None or not batch.mass <= ceiling:
         batch = None  # a rejected batch is released before its redo overwrites it
@@ -339,15 +340,18 @@ def solve(problem, config: SolverConfig,
                     draw_probes(problem.dimension, config.samples, config.seed, t,
                                 np.float32, work=work),
                     config.seed, work))
-            feas = problem.feasibility_error(grad)
-            gnorm = dual_norm(family, grad)
+            # the form the metrics and the step read: a block stack is
+            # decomposed here, once per iteration
+            measured = family.prepare(grad)
+            feas = problem.feasibility_error(measured)
+            gnorm = dual_norm(family, measured)
             if not (math.isfinite(feas) and math.isfinite(gnorm)):
                 raise FloatingPointError("non-finite gradient")
             if gnorm < best_g:
                 best_t, best_lam, best_g = t, lam, float(gnorm)
             if callback is not None:
                 callback(t, lam, grad)
-            new_lam = problem.update(lam, grad, eta)
+            new_lam = problem.update(lam, measured, eta)
             step = primal_norm(family, family.diff(new_lam, lam))
             lam = new_lam
         except Exception as err:

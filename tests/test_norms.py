@@ -50,10 +50,29 @@ class TestNormValues:
 
     def test_block_shape_checks(self):
         fam = BLOCK_SPECTRAL
+        asymmetric = np.array([[[0.0, 1.0], [0.0, 0.0]]] * 2)
         with pytest.raises(ValueError):
             dual_norm(fam, np.zeros((2, 2, 3)))
         with pytest.raises(ValueError):
-            dual_norm(fam, np.array([[[0.0, 1.0], [0.0, 0.0]]] * 2))
+            dual_norm(fam, asymmetric)
+        # eigh reads one triangle too, so the step refuses what the norms refuse
+        with pytest.raises(ValueError, match="symmetric"):
+            fam.prepare(asymmetric)
+        with pytest.raises(ValueError, match="symmetric"):
+            step_block(np.zeros((2, 2, 2)), asymmetric, 0.1)
+
+    def test_prepared_stack_serves_the_norms_and_the_step(self):
+        rng = np.random.default_rng(8)
+        g, lam = sym_stack(rng, 3, 4), sym_stack(rng, 3, 4)
+        spec = BLOCK_SPECTRAL.prepare(g)
+        assert BLOCK_SPECTRAL.prepare(spec) is spec
+        assert LINF.prepare(g) is g and PAIR.prepare((g, g))[0] is g
+        np.testing.assert_allclose((spec.vectors * spec.values[:, None, :])
+                                   @ spec.vectors.transpose(0, 2, 1), g, atol=1e-14)
+        for norm in (primal_norm, dual_norm):
+            assert norm(BLOCK_SPECTRAL, spec) == pytest.approx(norm(BLOCK_SPECTRAL, g),
+                                                               rel=1e-14)
+        np.testing.assert_array_equal(step_block(lam, spec, 0.3), step_block(lam, g, 0.3))
 
     def test_diff_keeps_the_payload_shape(self):
         a, b = np.array([3.0, -1.0]), np.array([1.0, 2.0])

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.sparse.linalg import expm_multiply
+from scipy.special import ive
 from scipy.stats import ortho_group
 
 from entrodual import (
@@ -301,6 +302,19 @@ class TestSpectralBounds:
         iv = spectral_bounds(SymOperator.from_dense(a))
         assert not iv.certified
 
+    def test_work_keeps_the_basis_and_changes_no_bits(self):
+        rng = np.random.default_rng(12)
+        op = SymOperator.from_dense(random_symmetric(rng, 90))
+        work = {}
+        first = spectral_bounds(op, seed=3, work=work)
+        basis = work["spectral_bounds"]
+        assert basis.shape == (64, 90) and basis.dtype == np.float64
+        assert first == spectral_bounds(op, seed=3)
+        # a second run writes over the first one's basis and reads no stale row
+        for a, seed in ((op.folded(2.0, 1.0), 4), (op, 3)):
+            assert spectral_bounds(a, seed=seed, work=work) == spectral_bounds(a, seed=seed)
+            assert work["spectral_bounds"] is basis
+
     def test_interval_helpers(self):
         iv = SpectralInterval(-1.0, 3.0)
         assert iv.padded(0.5).hi == 3.5
@@ -388,6 +402,42 @@ class TestExpmAction:
             g = dense_gibbs(SymOperator.from_dense(a), beta)
             ref = np.exp(g.log_partition) * (g.density @ z)
             assert np.linalg.norm(y - ref) <= 1e-8 * np.linalg.norm(ref)
+
+
+class TestChebyshevDegree:
+    """The series keeps the fewest terms whose dropped tail meets the target,
+    and never fewer than two."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("h", [1e-9, 0.5, 2.0, 6.31, 8.76, 50.0, 400.0])
+    def test_fewest_terms_within_the_target(self, h, dtype):
+        tol = 1e-8
+        target = max(tol * 1e-3, float(np.finfo(dtype).eps))
+        q = operators._chebyshev_degree(h, tol, dtype)
+        want = 2.0 * ive(np.arange(len(q)), h)
+        want[0] /= 2.0
+        np.testing.assert_array_equal(q, want)
+        # every dropped coefficient, far past any that matters, small end first
+        tail = np.cumsum(2.0 * ive(np.arange(len(q) + 2000, len(q) - 2, -1), h))[-2:]
+        assert tail[0] <= target
+        # only the floor of two keeps a term the target could do without: at
+        # h = 1e-9, q_1 = 1e-9 is above the float64 target, below float32's
+        assert tail[1] > target or len(q) == 2
+        assert len(q) == 2 if h < 1e-6 else len(q) > 2
+
+    @pytest.mark.parametrize("dtype, rtol", [(np.float64, 1e-13), (np.float32, 1e-6)])
+    def test_two_coefficient_series_matches_expm_multiply(self, dtype, rtol):
+        # a spectrum in [0.3, 0.3 + 2e-9]: one coefficient would add a
+        # spurious T_1 term of the size of z
+        rng = np.random.default_rng(31)
+        a = 0.3 * np.eye(12) + random_symmetric(rng, 12, norm=1e-9)
+        op = SymOperator.from_dense(a)
+        iv = SpectralInterval(0.3 - 1e-9, 0.3 + 1e-9)
+        assert len(operators._chebyshev_degree(0.5 * iv.width, 1e-10, dtype)) == 2
+        z = rng.standard_normal((12, 3))
+        y = expm_action(op, iv, z.astype(dtype))
+        ref = expm_multiply(sp.csr_array(a), z)
+        assert np.linalg.norm(y - ref) <= rtol * np.linalg.norm(ref)
 
 
 NB, K = 4, 3

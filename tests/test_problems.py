@@ -11,7 +11,7 @@ from entrodual import (SolverConfig, SymOperator, certify_gradient_decay,
                        dense_gibbs, gen_er_maxcut, solve, spectral_bounds)
 from entrodual.norms import dual_norm, primal_norm
 from entrodual.operators import DENSE_LIMIT
-from entrodual.probes import draw_probes, probe_gibbs
+from entrodual.probes import ProbeBatch, draw_probes, probe_gibbs
 from entrodual.problems import (
     MaxCutProblem,
     OTProblem,
@@ -289,6 +289,19 @@ class TestSDPStochasticGradient:
                 vals.append(p.feasibility_error(p.stochastic_gradient(batch)))
             errs.append(np.median(vals))
         assert errs[1] <= errs[0] / 2.0
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_strong_block_gram_matches_the_float64_reference(self, dtype):
+        # 30 images of 4 x 700 entries: widened in chunks of 23 images, the
+        # last one partial
+        p = StrongPermSyncProblem(SymOperator.zeros(120), 30, 4, 1.0)
+        w = np.random.default_rng(9).standard_normal((120, 700)).astype(dtype)
+        rows = w.reshape(30, 4, 700).astype(np.float64)
+        mass = np.sum(rows * rows)
+        want = np.einsum("nks,nls->nkl", rows, rows) / mass - np.eye(4) / 120
+        got = p.stochastic_gradient(ProbeBatch(w))
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15)
+        np.testing.assert_array_equal(got, got.transpose(0, 2, 1))
 
     def test_single_probe_singleton(self):
         p = MaxCutProblem(SymOperator.zeros(1), np.array([1.0]), 1.0)

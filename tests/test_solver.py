@@ -261,23 +261,23 @@ class TestStochasticPath:
         def spy(op, beta, interval, z, work):
             batch = probe_gibbs(op, beta, interval, z, work=work)
             seen.append((work, np.shares_memory(z, work["draw_probes"]),
-                         batch.images is work["expm_action"]))
+                         batch.images is work["expm_action"], work["spectral_bounds"]))
             return batch
 
         monkeypatch.setattr(solver_module, "probe_gibbs", spy)
         solve(gen_er_maxcut(1030, seed=3), SolverConfig(iters=4, samples=300, seed=1))
         assert len(seen) == 4
-        assert all(work is seen[0][0] and kept_z and kept_images
-                   for work, kept_z, kept_images in seen)
+        assert all(work is seen[0][0] and kept_z and kept_images and basis is seen[0][3]
+                   for work, kept_z, kept_images, basis in seen)
 
     @pytest.mark.parametrize("lane_count, blocks", [(1, 3), (2, 4)])
     def test_one_probe_block_in_flight(self, monkeypatch, lane_count, blocks):
         """A run holds one set of probe block buffers, reused by every
         iteration, and no earlier batch: the float32 probe words and images
         (8 n S bytes), three buffers per lane (4 n S for one lane of 70
-        columns, 6 n S for two of 52), and, while the interval is found, the
-        64 x n float64 Lanczos basis (2.5 n S). Keeping the last float64 batch
-        and widening the images took 25 and 27 n S."""
+        columns, 6 n S for two of 52), and the 64 x n float64 Lanczos basis
+        (2.5 n S). Keeping the last float64 batch and widening the images
+        took 25 and 27 n S."""
         pool = ThreadPoolExecutor(max_workers=lane_count)
         monkeypatch.setattr(operators, "_LANES", lane_count)
         monkeypatch.setattr(operators, "_POOL", pool)
@@ -296,6 +296,43 @@ class TestStochasticPath:
         finally:
             pool.shutdown()
         assert peak < 20 * n * samples
+
+    @pytest.mark.parametrize("make, lanczos, probe_products", [
+        (lambda: gen_er_maxcut(300, seed=3, beta=10.0), 140, 143 * 76),
+        (lambda: gen_permsynch(PermSynchModel(12, 4, 6, 0.15, seed=0), 1.0, "strong"),
+         120, 124 * 56)], ids=["maxcut", "ps-strong"])
+    def test_column_products_of_a_seeded_solve(self, monkeypatch, make, lanczos,
+                                               probe_products):
+        """Five iterations cost one-column Lanczos products and, per
+        Chebyshev term after the first, a product of all S probe columns
+        (S = 143 and 124). Keeping two spare terms per series cost 143 * 86
+        and 124 * 66 probe columns."""
+        cols = []
+        apply = SymOperator.apply
+
+        def spy(op, v, into=None):
+            cols.append(v.shape[1] if v.ndim == 2 else 1)
+            return apply(op, v, into)
+
+        monkeypatch.setattr(SymOperator, "apply", spy)
+        p = make()
+        solve(p, SolverConfig(iters=5, seed=1))
+        vectors = cols.count(1)
+        assert (vectors, sum(cols) - vectors) == (lanczos, probe_products)
+
+    def test_block_gradient_is_decomposed_once_per_iteration(self, monkeypatch):
+        """One eigh of the gradient stack serves the feasibility, the dual
+        norm and the step; the primal norm of the step is one more eigvalsh.
+        Each iteration took four eigvalsh and one eigh before."""
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            def spy(a, *args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
+                calls.append((_name, np.shape(a)))
+                return _fn(a, *args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, spy)
+        p = gen_permsynch(PermSynchModel(12, 4, 6, 0.15, seed=0), 1.0, "strong")
+        solve(p, SolverConfig(iters=5, seed=1))
+        assert calls == [("eigh", (12, 4, 4)), ("eigvalsh", (12, 4, 4))] * 5
 
     def test_block_dual_problem_runs(self):
         rng = np.random.default_rng(8)
@@ -409,8 +446,8 @@ class TestProbeInterval:
 def manual_trace(problem, cfg, dtype=np.float64):
     """The stochastic solve run by hand from the public pieces: draw_probes,
     cast to a contiguous block of dtype, probe_gibbs on the Lanczos interval,
-    stochastic_gradient and update. Returns the trace.csv columns but
-    wall_ms, and the best row."""
+    stochastic_gradient in the form its geometry prepares, and update.
+    Returns the trace.csv columns but wall_ms, and the best row."""
     family, lam, eta = problem.norm_family(), problem.initial_dual(), cfg.resolve(problem)
     cols = []
     for t in range(cfg.iters):
@@ -423,7 +460,7 @@ def manual_trace(problem, cfg, dtype=np.float64):
         # neither grew nor fell below the float32 floor
         assert interval.certified
         assert solver_module._FLOAT32_FLOOR <= batch.mass / z.size <= 1.0
-        grad = problem.stochastic_gradient(batch)
+        grad = family.prepare(problem.stochastic_gradient(batch))
         new_lam = problem.update(lam, grad, eta)
         cols.append((t, problem.feasibility_error(grad), dual_norm(family, grad), math.nan,
                      primal_norm(family, family.diff(new_lam, lam))))
