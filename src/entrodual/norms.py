@@ -77,10 +77,9 @@ class PairGeometry:
 
 @dataclass(frozen=True)
 class BlockSpectrum:
-    """A symmetric (N, K, K) stack with the eigendecomposition of each block,
-    blocks[i] = vectors[i] @ diag(values[i]) @ vectors[i].T."""
+    """The eigendecomposition of each block of a symmetric (N, K, K) stack,
+    block i = vectors[i] @ diag(values[i]) @ vectors[i].T."""
 
-    blocks: np.ndarray
     values: np.ndarray
     vectors: np.ndarray
 
@@ -111,8 +110,7 @@ class BlockSpectralGeometry:
         BlockSpectrum is returned as it is."""
         if isinstance(g, BlockSpectrum):
             return g
-        b = self._checked(g)
-        return BlockSpectrum(b, *np.linalg.eigh(b))
+        return BlockSpectrum(*np.linalg.eigh(self._checked(g)))
 
     def primal(self, x) -> float:
         return float(self._abs_eigvals(x).max(initial=0.0))
@@ -184,7 +182,7 @@ def step_block(lams: np.ndarray, grads, eta: float) -> np.ndarray:
     """
     lams = np.asarray(lams, dtype=float)
     g = BLOCK_SPECTRAL.prepare(grads)
-    if lams.shape != g.blocks.shape:
+    if lams.shape != g.vectors.shape:
         raise ValueError("shape mismatch between point and gradient")
     total = np.abs(g.values).sum()
     if total == 0.0:

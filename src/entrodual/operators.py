@@ -257,8 +257,7 @@ def _min_lanczos_steps(n: int) -> int:
     return math.ceil((log_odds / math.sqrt(eps) + 1.0) / 2.0)
 
 
-def spectral_bounds(op: SymOperator, *, seed: int = 0,
-                    work: Optional[dict] = None) -> SpectralInterval:
+def spectral_bounds(op: SymOperator, *, seed: int = 0) -> SpectralInterval:
     """Estimate an interval containing the spectrum of a symmetric operator.
 
     One Lanczos run from a seeded Gaussian start, with full
@@ -277,11 +276,10 @@ def spectral_bounds(op: SymOperator, *, seed: int = 0,
     from a random start, bounds that chance for any spectrum (see
     _min_lanczos_steps); when n is below both that number and _MAX_STEPS,
     the run spans the whole space and is exact. certified is False when the
-    basis ran out first; the interval is then an estimate. With a work dict
-    the basis is kept there (see reused) for the next call with it.
+    basis ran out first; the interval is then an estimate.
     """
     m = max(1, min(_MAX_STEPS, op.n))
-    basis = reused(work, "spectral_bounds", (m, op.n), np.float64)
+    basis = np.empty((m, op.n))
     alpha, beta = np.empty(m), np.zeros(m)
     v = np.random.default_rng(seed).standard_normal(op.n)
     basis[0] = v / np.linalg.norm(v)

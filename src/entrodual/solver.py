@@ -278,11 +278,10 @@ def _probe_batch(op, beta: float, z: np.ndarray, seed: int, work: dict):
     n S raises: its series is truncated at 1e-11 per unit of probe length,
     which there exceeds sqrt(1e-8) of the images. A wider interval would only
     shrink them further, so that batch is not redone. Every batch keeps its
-    images in work, so a redo overwrites the batch it replaces, and the
-    Lanczos basis stays there too.
+    images in work, so a redo overwrites the batch it replaces.
     """
     ceiling = z.size * (1.0 + 1e-6)
-    interval = spectral_bounds(op, seed=seed, work=work)
+    interval = spectral_bounds(op, seed=seed)
     batch = probe_gibbs(op, beta, interval, z, work=work) if interval.certified else None
     if batch is None or not batch.mass <= ceiling:
         batch = None  # a rejected batch is released before its redo overwrites it

@@ -302,19 +302,6 @@ class TestSpectralBounds:
         iv = spectral_bounds(SymOperator.from_dense(a))
         assert not iv.certified
 
-    def test_work_keeps_the_basis_and_changes_no_bits(self):
-        rng = np.random.default_rng(12)
-        op = SymOperator.from_dense(random_symmetric(rng, 90))
-        work = {}
-        first = spectral_bounds(op, seed=3, work=work)
-        basis = work["spectral_bounds"]
-        assert basis.shape == (64, 90) and basis.dtype == np.float64
-        assert first == spectral_bounds(op, seed=3)
-        # a second run writes over the first one's basis and reads no stale row
-        for a, seed in ((op.folded(2.0, 1.0), 4), (op, 3)):
-            assert spectral_bounds(a, seed=seed, work=work) == spectral_bounds(a, seed=seed)
-            assert work["spectral_bounds"] is basis
-
     def test_interval_helpers(self):
         iv = SpectralInterval(-1.0, 3.0)
         assert iv.padded(0.5).hi == 3.5

@@ -8,7 +8,7 @@ from scipy.linalg import expm
 from scipy.optimize import minimize
 
 from entrodual import (SolverConfig, SymOperator, certify_gradient_decay,
-                       dense_gibbs, gen_er_maxcut, solve, spectral_bounds)
+                       dense_gibbs, gen_er_maxcut, problems, solve, spectral_bounds)
 from entrodual.norms import dual_norm, primal_norm
 from entrodual.operators import DENSE_LIMIT
 from entrodual.probes import ProbeBatch, draw_probes, probe_gibbs
@@ -292,13 +292,14 @@ class TestSDPStochasticGradient:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_strong_block_gram_matches_the_float64_reference(self, dtype):
-        # 30 images of 4 x 700 entries: widened in chunks of 23 images, the
+        # 32 images of 4 x 700 entries: widened in chunks of 5 images, the
         # last one partial
-        p = StrongPermSyncProblem(SymOperator.zeros(120), 30, 4, 1.0)
-        w = np.random.default_rng(9).standard_normal((120, 700)).astype(dtype)
-        rows = w.reshape(30, 4, 700).astype(np.float64)
+        assert problems._GRAM_ENTRIES // (4 * 700) == 5
+        p = StrongPermSyncProblem(SymOperator.zeros(128), 32, 4, 1.0)
+        w = np.random.default_rng(9).standard_normal((128, 700)).astype(dtype)
+        rows = w.reshape(32, 4, 700).astype(np.float64)
         mass = np.sum(rows * rows)
-        want = np.einsum("nks,nls->nkl", rows, rows) / mass - np.eye(4) / 120
+        want = np.einsum("nks,nls->nkl", rows, rows) / mass - np.eye(4) / 128
         got = p.stochastic_gradient(ProbeBatch(w))
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15)
         np.testing.assert_array_equal(got, got.transpose(0, 2, 1))
