@@ -31,7 +31,6 @@ from entrodual.problems import (
 )
 from entrodual.rounding import (
     RoundedPrimal,
-    psd_factor,
     round_maxcut,
     round_ot,
     round_strong_ps,
@@ -80,7 +79,6 @@ __all__ = [
     "load_mnist_pair",
     "primal_norm",
     "probe_gibbs",
-    "psd_factor",
     "round_maxcut",
     "round_ot",
     "round_strong_ps",

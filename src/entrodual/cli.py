@@ -5,7 +5,8 @@ MatrixMarket form, and the kind's vectors (mu.txt/nu.txt for transport,
 b.txt for the cut relaxation). `gen` writes such directories, `solve` reads
 them and emits trace CSV/JSON, `round` projects a primal estimate onto the
 feasible set with a certificate, and `certify` checks a recorded trace
-against its a-priori gradient-decay bound.
+against its a-priori gradient-decay bound, on the directory's problem at the
+trace's beta.
 """
 
 from __future__ import annotations
@@ -187,9 +188,10 @@ def _cmd_round(args) -> int:
 # ---- certify ---------------------------------------------------------------
 
 def _cmd_certify(args) -> int:
-    problem = load_problem(args.problem)
     meta_path = args.metadata or Path(args.trace).with_suffix(".json")
     trace = SolverTrace.read(args.trace, meta_path)
+    # solve --beta overrides the directory's beta; certify the run at its own
+    problem = load_problem(args.problem, beta=trace.problem_info.get("beta"))
     report = certify_gradient_decay(trace, problem, gamma=args.gamma)
     print(report)
     return 0 if report.passed else 1

@@ -4,10 +4,9 @@ Each rounder returns the feasible payload together with a proven bound on the
 perturbation it can introduce, in the units of the shift it measures: the
 objective when a cost is given. Transport plans are fixed by
 row/column scaling plus a rank-one mass correction. Both SDP rounders run one
-algorithm: a block-diagonal congruence of the PSD factor caps every diagonal
-block at its target, and the deficit is shifted back onto the diagonal
-blocks, which keeps the output PSD by construction. Max-Cut is the case of
-1 x 1 blocks.
+algorithm: a block-diagonal congruence of X caps every diagonal block at its
+target, and the deficit is shifted back onto the diagonal blocks, which keeps
+the output PSD by construction. Max-Cut is the case of 1 x 1 blocks.
 """
 
 from __future__ import annotations
@@ -17,8 +16,8 @@ from typing import Optional
 
 import numpy as np
 
-__all__ = ["RoundedPrimal", "psd_factor", "round_ot",
-           "round_maxcut", "round_strong_ps", "triple_norm"]
+__all__ = ["RoundedPrimal", "round_ot", "round_maxcut", "round_strong_ps",
+           "triple_norm"]
 
 
 @dataclass(frozen=True)
@@ -36,28 +35,21 @@ class RoundedPrimal:
     measured_shift: Optional[float] = None
 
 
+def _check_finite(**arrays) -> None:
+    for name, x in arrays.items():
+        if not np.isfinite(x).all():
+            raise ValueError(f"{name} must be finite")
+
+
 def _check_symmetric(x, name="matrix"):
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[0] != x.shape[1]:
         raise ValueError(f"{name} must be square")
+    _check_finite(**{name: x})
     scale = max(1.0, float(np.abs(x).max()))
     if np.abs(x - x.T).max() > 1e-8 * scale:
         raise ValueError(f"{name} must be symmetric")
     return (x + x.T) / 2
-
-
-def psd_factor(x) -> np.ndarray:
-    """Factor v with v.T @ v = x, from an eigendecomposition of PSD x.
-
-    Eigenvalues below -1e-8 * ||x||_2 are rejected; small negatives above that
-    are clipped to zero.
-    """
-    x = _check_symmetric(x)
-    w, u = np.linalg.eigh(x)
-    spectral = float(np.abs(w).max()) if w.size else 0.0
-    if w.size and w.min() < -1e-8 * max(spectral, 1e-300):
-        raise ValueError(f"input not numerically PSD: min eigenvalue {w.min():.3e}")
-    return np.sqrt(np.clip(w, 0.0, None))[:, None] * u.T
 
 
 def round_ot(pi, mu, nu, cost=None) -> RoundedPrimal:
@@ -75,6 +67,7 @@ def round_ot(pi, mu, nu, cost=None) -> RoundedPrimal:
     nu = np.asarray(nu, dtype=float)
     if pi.ndim != 2 or pi.shape != (mu.size, nu.size):
         raise ValueError("plan must be m x n matching the marginals")
+    _check_finite(plan=pi, mu=mu, nu=nu)
     if np.any(pi < 0.0):
         raise ValueError("plan must be entrywise nonnegative")
 
@@ -104,6 +97,7 @@ def round_ot(pi, mu, nu, cost=None) -> RoundedPrimal:
         cost = np.asarray(cost, dtype=float)
         if cost.shape != pi.shape:
             raise ValueError("cost must match the plan shape")
+        _check_finite(cost=cost)
         certificate *= float(np.abs(cost).max())
         measured = float(abs(np.sum(cost * (rounded - pi))))
     return RoundedPrimal(payload=rounded, perturbation_certificate=certificate,
@@ -123,19 +117,25 @@ def _block_view(a, num_images, block_size):
 
 
 def _deflate_blocks(x, block_size: int) -> np.ndarray:
-    """Cap each K x K diagonal block of PSD x = V^T V at I, then set it to I.
+    """Cap each K x K diagonal block of PSD x at I by a congruence, then set it to I.
 
-    Column block V_i of the factor is multiplied by W diag(min(1, w^(-1/2))) W^T,
-    W diag(w) W^T = V_i^T V_i, which caps V_i^T V_i at I spectrally and keeps
-    V^T V PSD; resetting the blocks to I adds the PSD deficit back.
+    Eigenvalues of x below -1e-8 * ||x||_2 are rejected; x + s I with
+    s = max(0, -lambda_min) is PSD. C_i = W diag(min(1, w^(-1/2))) W^T,
+    W diag(w) W^T = x_ii + s I, caps that block at I spectrally, so
+    C (x + s I) C is PSD, and its off-diagonal blocks are C_i x_ij C_j.
+    Resetting the diagonal blocks to I adds the PSD deficit back.
     """
-    v = psd_factor(x)
-    n, k = v.shape[1], block_size
-    cols = v.reshape(n, n // k, k)
-    w, u = np.linalg.eigh(np.einsum("rik,ril->ikl", cols, cols))
+    n, k = x.shape[0], block_size
+    diag_blocks = np.einsum("ikil->ikl", _block_view(x, n // k, k))
+    w = np.linalg.eigvalsh(x)
+    if w[0] < -1e-8 * np.abs(w).max():
+        raise ValueError(f"input not numerically PSD: min eigenvalue {w[0]:.3e}")
+    w, u = np.linalg.eigh(diag_blocks - min(0.0, w[0]) * np.eye(k))
     cap = (u / np.sqrt(np.maximum(w, 1.0))[:, None, :]) @ u.transpose(0, 2, 1)
-    tilde = np.einsum("rik,ikl->ril", cols, cap, optimize=True).reshape(n, n)
-    rounded = tilde.T @ tilde
+    # C x by block rows, then C (C x)^T = C x C
+    half = (cap @ x.reshape(n // k, k, n)).reshape(n, n)
+    rounded = (cap @ half.T.reshape(n // k, k, n)).reshape(n, n)
+    rounded = (rounded + rounded.T) / 2
     np.einsum("ikil->ikl", _block_view(rounded, n // k, k))[...] = np.eye(k)
     return rounded
 
@@ -152,6 +152,7 @@ def round_maxcut(x, b, a) -> RoundedPrimal:
     b = np.asarray(b, dtype=float)
     if b.ndim != 1 or b.size != x.shape[0]:
         raise ValueError("b must be a vector matching the matrix size")
+    _check_finite(b=b)
     if np.any(b <= 0.0):
         raise ValueError("b must be strictly positive")
     a = _check_symmetric(a, "objective matrix")
@@ -184,7 +185,7 @@ def round_strong_ps(x, num_images: int, block_size: int, a=None) -> RoundedPrima
 
     Works on the frame where the block target is the identity (callers using
     trace normalization rescale before and after). A block-diagonal
-    congruence of the factor caps every diagonal block at the identity, and
+    congruence of X caps every diagonal block at the identity, and
     the deficits are shifted back in block-diagonally (round_maxcut is the
     1 x 1 case). Certificate: (2K + 1) * delta * triple_norm(a), delta the
     summed nuclear norm error of the input's diagonal blocks.

@@ -205,6 +205,8 @@ class SolverTrace:
             config = SolverConfig(**{k: v for k, v in meta["config"].items()
                                      if k not in _RETIRED_CONFIG})
             problem_info = meta["problem"]
+            if type(problem_info) is not dict:
+                raise ValueError(f"problem is {problem_info!r}, not an object")
         except KeyError as err:
             raise ValueError(f"{meta_path}: missing field {err}") from None
         except (AttributeError, TypeError, ValueError) as err:
@@ -402,7 +404,14 @@ def certify_gradient_decay(trace: SolverTrace, problem,
     a 3 gamma bias term and require eta = 1/beta. OT runs use the
     16 (2M + (log(1/s)+1)/beta) / ((T-1) eta) bound. gamma defaults to zero on
     exact-gradient runs and to the declared gamma_target on stochastic runs.
+    A problem whose descriptor differs from the trace's record on any key the
+    trace holds raises ValueError naming each such key.
     """
+    current = problem.descriptor()
+    differ = [f"{key} {value!r} in the trace, {current.get(key)!r} in the problem"
+              for key, value in trace.problem_info.items() if current.get(key) != value]
+    if differ:
+        raise ValueError("trace was recorded on another problem: " + "; ".join(differ))
     if len(trace) == 0 or not np.all(np.isfinite(trace.grad_dual_norm)):
         raise ValueError("trace has no usable gradient records")
     beta = problem.beta

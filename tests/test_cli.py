@@ -268,6 +268,21 @@ class TestRoundCommand:
         assert np.allclose(rounded, np.eye(6) / 6, atol=1e-12)
         assert np.trace(rounded) == pytest.approx(1.0, abs=1e-12)
 
+    def test_non_finite_estimate_exits_two_without_a_report(self, tmp_path, capsys):
+        # a NaN estimate once exited 0 and wrote "measured_shift": NaN, which
+        # is not JSON
+        d = tmp_path / "mc"
+        run(["gen", "maxcut", "--n", 5, "--out", d])
+        est = tmp_path / "nan.npy"
+        x = np.eye(5) / 5
+        x[0, 1] = np.nan
+        np.save(est, x)
+        out = tmp_path / "round"
+        code = run(["round", "maxcut", "--problem", d, "--estimate", est, "--out", out])
+        assert code == 2
+        assert "matrix must be finite" in capsys.readouterr().err
+        assert not (out / "round.json").exists()
+
     def test_round_kind_mismatch(self, tmp_path, capsys):
         d = tmp_path / "mc"
         run(["gen", "maxcut", "--n", 5, "--out", d])
@@ -353,6 +368,39 @@ class TestCertifyCommand:
         trace_json.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
         assert certify() == before
 
+    @pytest.mark.parametrize("kind", ["ot", "maxcut"])
+    def test_beta_override_certified_at_the_run_beta(self, tmp_path, capsys, kind):
+        # a solve --beta run was once certified at the directory's beta: the OT
+        # run passed against the beta-10 bound, the maxcut run exited 2 over
+        # eta = 1/beta
+        d, out = tmp_path / kind, tmp_path / "run"
+        gen, flags = ((["ot-synthetic", "--k", 4], []) if kind == "ot"
+                      else (["maxcut", "--n", 8], ["--dense-oracle"]))
+        run(["gen", *gen, "--beta", 10, "--out", d])
+        run(["solve", kind, "--problem", d, "--beta", 20, "--iters", 200, *flags,
+             "--out", out])
+        trace = SolverTrace.read(out / "trace.csv", out / "trace.json")
+        want = certify_gradient_decay(trace, load_problem(d, beta=20.0))
+        assert want.passed and want.details["eta"] == 1.0 / 20.0
+        capsys.readouterr()
+        assert run(["certify", "--problem", d, "--trace", out / "trace.csv"]) == 0
+        assert capsys.readouterr().out.strip() == str(want)
+        with pytest.raises(ValueError, match="beta 20.0 in the trace, 10.0 in the problem"):
+            certify_gradient_decay(trace, load_problem(d))
+
+    def test_trace_of_another_instance_exits_two(self, tmp_path, capsys):
+        # a trace once certified silently against another instance's directory
+        for seed in (0, 1):
+            run(["gen", "ot-synthetic", "--k", 4, "--seed", seed,
+                 "--out", tmp_path / f"ot{seed}"])
+        out = tmp_path / "run"
+        run(["solve", "ot", "--problem", tmp_path / "ot0", "--iters", 20, "--out", out])
+        capsys.readouterr()
+        code = run(["certify", "--problem", tmp_path / "ot1", "--trace", out / "trace.csv"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "another problem: marginal_floor" in err and "cost_bound" not in err
+
     def test_missing_problem_dir(self, tmp_path, capsys):
         code = run(["certify", "--problem", tmp_path / "nope",
                     "--trace", tmp_path / "t.csv"])
@@ -366,7 +414,8 @@ class TestCertifyCommand:
                 "string-eta": (None, "eta", "0.5"),
                 "string-best-iteration": (None, "best_iteration", "x"),
                 "string-stopped-early": (None, "stopped_early", "no"),
-                "nan-best-grad-norm": (None, "best_grad_dual_norm", float("nan"))}
+                "nan-best-grad-norm": (None, "best_grad_dual_norm", float("nan")),
+                "list-problem": (None, "problem", ["maxcut"])}
 
     @pytest.mark.parametrize("case", ["no-best-iteration", "unknown-config-field",
                                       "short-csv-rows", "blank-iter-cell",

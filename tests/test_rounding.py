@@ -8,7 +8,7 @@ from scipy.linalg import svdvals
 
 from entrodual.operators import SymOperator, dense_gibbs
 from entrodual.problems import MaxCutProblem, StrongPermSyncProblem
-from entrodual.rounding import (RoundedPrimal, psd_factor, round_maxcut, round_ot,
+from entrodual.rounding import (RoundedPrimal, round_maxcut, round_ot,
                                 round_strong_ps, triple_norm)
 from entrodual.solver import SolverConfig, solve
 
@@ -23,10 +23,16 @@ def random_sym(n, rng):
     return (a + a.T) / 2
 
 
+def eigh_factor(x):
+    """v with v.T @ v = x for PSD x, from an eigendecomposition, negatives clipped."""
+    w, u = np.linalg.eigh((x + x.T) / 2)
+    return np.sqrt(np.clip(w, 0.0, None))[:, None] * u.T
+
+
 def reference_round_strong_ps(x, n_img, k):
     """The block rounding by per-block SVD: singular values of each column
     block of the factor thresholded at 1, then identity diagonal blocks."""
-    v = psd_factor(x)
+    v = eigh_factor(x)
     parts = []
     for i in range(n_img):
         u, s, vh = np.linalg.svd(v[:, i * k:(i + 1) * k], full_matrices=False)
@@ -53,42 +59,6 @@ def block_rounding_input(case, rng):
         g[:, k] = 0.0  # the second diagonal block gets an exact 0 eigenvalue
     x = g.T @ g
     return x * rng.uniform(0.2, 2.0) * n / np.trace(x), n_img, k
-
-
-class TestPsdFactor:
-    def test_identity(self):
-        v = psd_factor(np.eye(5))
-        assert np.abs(v.T @ v - np.eye(5)).max() < 1e-12
-
-    def test_rank_one(self):
-        u = np.array([1.0, -2.0, 0.5])
-        x = np.outer(u, u)
-        v = psd_factor(x)
-        assert np.abs(v.T @ v - x).max() < 1e-10
-
-    def test_random_psd_reconstruction(self):
-        rng = np.random.default_rng(0)
-        x = random_psd(12, rng)
-        v = psd_factor(x)
-        assert np.abs(v.T @ v - x).max() < 1e-10
-
-    def test_small_negative_eigenvalue_clipped(self):
-        q, _ = np.linalg.qr(np.random.default_rng(1).normal(size=(4, 4)))
-        w = np.array([2.0, 1.0, 0.5, -1e-12])
-        x = (q * w) @ q.T
-        v = psd_factor(x)
-        err = np.linalg.norm(v.T @ v - (x + x.T) / 2)
-        assert err <= 2e-12
-        assert np.linalg.eigvalsh(v.T @ v).min() >= -1e-15
-
-    def test_indefinite_input_rejected(self):
-        x = np.array([[1.0, 2.0], [2.0, 1.0]])
-        with pytest.raises(ValueError, match="not numerically PSD"):
-            psd_factor(x)
-
-    def test_asymmetric_input_rejected(self):
-        with pytest.raises(ValueError, match="symmetric"):
-            psd_factor(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
 class TestRoundOT:
@@ -152,6 +122,16 @@ class TestRoundOT:
         with pytest.raises(ValueError, match="nonnegative"):
             round_ot(np.array([[-0.1, 0.5], [0.3, 0.3]]),
                      np.array([0.5, 0.5]), np.array([0.5, 0.5]))
+
+    @pytest.mark.parametrize("name", ["plan", "mu", "nu", "cost"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_input_rejected(self, name, bad):
+        # a NaN plan entry once came back as a NaN payload and NaN certificate
+        args = {"plan": np.full((2, 2), 0.25), "mu": np.array([0.5, 0.5]),
+                "nu": np.array([0.5, 0.5]), "cost": np.ones((2, 2))}
+        args[name][-1] = bad
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            round_ot(args["plan"], args["mu"], args["nu"], cost=args["cost"])
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="m x n"):
@@ -244,6 +224,21 @@ class TestRoundMaxCut:
             round_maxcut(np.array([[1.0, 2.0], [2.0, 1.0]]),
                          np.array([0.5, 0.5]), np.eye(2))
 
+    def test_asymmetric_rejected(self):
+        with pytest.raises(ValueError, match="symmetric"):
+            round_maxcut(np.array([[0.5, 0.5], [0.0, 0.5]]),
+                         np.array([0.5, 0.5]), np.eye(2))
+
+    @pytest.mark.parametrize("name", ["matrix", "b", "objective matrix"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_input_rejected(self, name, bad):
+        # one NaN off-diagonal entry once gave a NaN payload with certificate 0
+        args = {"matrix": np.eye(2) / 2, "b": np.array([0.5, 0.5]),
+                "objective matrix": np.eye(2)}
+        args[name].flat[1] = bad
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            round_maxcut(args["matrix"], args["b"], args["objective matrix"])
+
     def test_nonpositive_b_rejected(self):
         with pytest.raises(ValueError, match="positive"):
             round_maxcut(np.eye(2) / 2, np.array([1.0, 0.0]), np.eye(2))
@@ -306,6 +301,35 @@ class TestRoundStrongPS:
                                        reference_round_strong_ps(x, n_img, k),
                                        rtol=0.0, atol=1e-12)
 
+    @pytest.mark.parametrize("block_size", [1, 2])
+    def test_small_negative_eigenvalue_shifted_out(self, block_size):
+        # identity diagonal blocks of rank 2, less 1e-12 along the null space:
+        # resetting the blocks to I without the shift leaves about -1e-12
+        rng = np.random.default_rng(18)
+        g = np.hstack([np.linalg.qr(rng.normal(size=(2, 2)))[0] for _ in range(2)])
+        null = np.linalg.svd(g)[2][-1]
+        x = g.T @ g - 1e-12 * np.outer(null, null)
+        assert np.linalg.eigvalsh(x).min() < -0.9e-12
+        out = round_strong_ps(x, 4 // block_size, block_size)
+        assert np.linalg.eigvalsh(out.payload).min() >= -1e-15 * np.abs(x).max()
+
+    def test_indefinite_rejected(self):
+        with pytest.raises(ValueError, match="not numerically PSD"):
+            round_strong_ps(np.array([[1.0, 2.0], [2.0, 1.0]]), 2, 1)
+
+    def test_asymmetric_rejected(self):
+        with pytest.raises(ValueError, match="symmetric"):
+            round_strong_ps(np.array([[1.0, 1.0], [0.0, 1.0]]), 2, 1)
+
+    @pytest.mark.parametrize("name", ["matrix", "objective matrix"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_input_rejected(self, name, bad):
+        # one NaN off-diagonal entry once gave a NaN payload with certificate 0
+        args = {"matrix": np.eye(4), "objective matrix": np.eye(4)}
+        args[name][0, 3] = bad
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            round_strong_ps(args["matrix"], 2, 2, a=args["objective matrix"])
+
     def test_scalar_thresholded(self):
         out = round_strong_ps(np.array([[4.0]]), 1, 1)
         assert out.payload == pytest.approx(np.array([[1.0]]))
@@ -315,7 +339,7 @@ class TestRoundStrongPS:
         n_img, k = 3, 4
         n = n_img * k
         base = np.eye(n) + 0.08 * random_sym(n, rng)
-        x = psd_factor(base)
+        x = eigh_factor(base)
         x = x.T @ x
         a = random_sym(n, rng)
         out = round_strong_ps(x, n_img, k, a=a)

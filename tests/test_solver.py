@@ -640,6 +640,12 @@ class TestCertificates:
         with pytest.raises(ValueError, match="eta = 1/beta"):
             certify_gradient_decay(tr, p)
 
+    def test_problem_of_another_run_raises(self):
+        tr = solve(random_maxcut(8, beta=2.0, seed=1), SolverConfig(iters=5, dense_oracle=True))
+        with pytest.raises(ValueError, match=r"another problem: n 8 in the trace, 10 in "
+                                             r"the problem; beta 2.0 in the trace, 3.0"):
+            certify_gradient_decay(tr, random_maxcut(10, beta=3.0, seed=1))
+
     def test_unusable_gradient_rows_raise(self):
         p = random_maxcut(8, beta=2.0, seed=1)
         tr = solve(p, SolverConfig(iters=5, dense_oracle=True))
