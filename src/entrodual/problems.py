@@ -18,7 +18,9 @@ enters f through a linear term: f(lambda) = -<b, lambda> + log Z(lambda) / beta.
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass
+from functools import cached_property
 from math import ceil, log
 from typing import Tuple
 
@@ -36,6 +38,24 @@ __all__ = [
     "StrongPermSyncProblem",
     "WeakPermSyncProblem",
 ]
+
+
+def _digest(cost, *vectors) -> str:
+    """CRC-32 of an instance's arrays as eight hex digits: it tells instances
+    apart, and resists no crafted collision. An SDP cost enters as CSR with
+    sorted int64 indices and no explicit zeros, so equal matrices share a
+    digest however they were built, the directory round trip included."""
+    if isinstance(cost, SymOperator):
+        csr = cost.to_sparse()
+        csr.sort_indices()
+        arrays = [csr.indptr.astype(np.int64), csr.indices.astype(np.int64),
+                  csr.data.astype(np.float64)]
+    else:
+        arrays = [cost]
+    crc = 0
+    for a in arrays + list(vectors):
+        crc = zlib.crc32(np.ascontiguousarray(a), crc)
+    return f"{crc:08x}"
 
 
 class _GibbsProblem:
@@ -105,9 +125,14 @@ class MaxCutProblem(_GibbsProblem):
     def feasibility_error(self, grad) -> float:
         return LINF.dual(grad)
 
+    @cached_property
+    def digest(self) -> str:
+        """_digest of the cost and b, computed once: the problem is immutable."""
+        return _digest(self.cost, self.b)
+
     def descriptor(self) -> dict:
         return {"kind": "maxcut", "n": self.dimension, "beta": self.beta,
-                "kappa": self.kappa}
+                "kappa": self.kappa, "digest": self.digest}
 
 
 @dataclass(frozen=True)
@@ -116,6 +141,11 @@ class OTProblem:
 
     Duals are a pair of potentials; gradients are exact marginal residuals of
     the normalized Gibbs plan, so there is no stochastic path for this problem.
+    Each evaluation writes E = exp(-beta C + beta phi + beta psi - m), m the
+    largest exponent, into one fresh array of the cost's shape and never
+    normalizes it: the marginals are E's row and column sums over its total
+    s (the sum of the row sums), and log Z = m + log s. plan() alone divides
+    E by s.
     """
 
     cost: np.ndarray
@@ -162,28 +192,30 @@ class OTProblem:
     def initial_dual(self):
         return (np.zeros(self.mu.size), np.zeros(self.nu.size))
 
-    def _plan_and_log_partition(self, duals) -> Tuple[np.ndarray, float]:
-        """Normalized plan and log sum exp(-beta (C - phi - psi)), one pass."""
+    def _gibbs_kernel(self, duals) -> Tuple[np.ndarray, float, np.ndarray]:
+        """(E, m, row sums of E) for the potentials, E unnormalized (see class)."""
         phi, psi = duals
-        e = np.subtract(self.cost, np.asarray(phi)[:, None])
-        e -= np.asarray(psi)[None, :]
-        e *= -self.beta
+        e = np.multiply(self.cost, -self.beta)
+        e += (self.beta * np.asarray(phi))[:, None]
+        e += (self.beta * np.asarray(psi))[None, :]
         m = e.max()
         e -= m
         np.exp(e, out=e)
-        s = e.sum()
-        e /= s
-        return e, float(m + np.log(s))
+        return e, float(m), e.sum(axis=1)
 
     def plan(self, duals) -> np.ndarray:
         """Normalized Gibbs transport plan at the given potentials."""
-        return self._plan_and_log_partition(duals)[0]
+        e, _, rows = self._gibbs_kernel(duals)
+        e /= rows.sum()
+        return e
 
     def dense_eval(self, duals):
-        """(gradient, objective) from one stabilized pass over the log-plan."""
+        """(gradient, objective): the plan's marginals and log partition from E."""
         phi, psi = duals
-        pi, log_z = self._plan_and_log_partition(duals)
-        grad = (pi.sum(axis=1) - self.mu, pi.sum(axis=0) - self.nu)
+        e, m, rows = self._gibbs_kernel(duals)
+        s = rows.sum()
+        grad = (rows / s - self.mu, e.sum(axis=0) / s - self.nu)
+        log_z = m + float(np.log(s))
         return grad, -float(self.mu @ phi + self.nu @ psi) + log_z / self.beta
 
     def update(self, duals, grad, eta: float):
@@ -194,10 +226,15 @@ class OTProblem:
         gp, gq = grad
         return float(np.abs(gp).sum() + np.abs(gq).sum())
 
+    @cached_property
+    def digest(self) -> str:
+        """_digest of the cost and both marginals, computed once."""
+        return _digest(self.cost, self.mu, self.nu)
+
     def descriptor(self) -> dict:
         return {"kind": "ot", "m": self.shape[0], "n": self.shape[1],
                 "beta": self.beta, "cost_bound": self.cost_bound,
-                "marginal_floor": self.marginal_floor}
+                "marginal_floor": self.marginal_floor, "digest": self.digest}
 
 
 def check_count(name: str, value) -> None:
@@ -225,10 +262,15 @@ class _SyncProblem(_GibbsProblem):
         if not 0.0 < self.beta < np.inf:
             raise ValueError("beta must be positive and finite")
 
+    @cached_property
+    def digest(self) -> str:
+        """_digest of the cost, computed once."""
+        return _digest(self.cost)
+
     def descriptor(self) -> dict:
         return {"kind": self.kind, "num_images": self.num_images,
                 "block_size": self.block_size, "n": self.dimension,
-                "beta": self.beta}
+                "beta": self.beta, "digest": self.digest}
 
 
 # float64 entries of image rows widened at once for a block Gram (128 KiB);

@@ -1,7 +1,8 @@
 """Outer dual-descent loop with trace recording and a-priori gradient certificates.
 
 One solve() drives any of the four problems. Optimal transport always uses
-exact gradients (they cost one dense pass over the plan). The SDPs run either
+exact gradients (they cost a few elementwise passes over one m x n array of the
+stabilized Gibbs kernel, and no normalized plan). The SDPs run either
 on the dense eigendecomposition oracle or on the stochastic probe path with a
 fresh batch per iteration. On the probe path every iteration encloses the
 spectrum of its shifted cost with a short Lanczos run, so the probe images
@@ -405,11 +406,15 @@ def certify_gradient_decay(trace: SolverTrace, problem,
     16 (2M + (log(1/s)+1)/beta) / ((T-1) eta) bound. gamma defaults to zero on
     exact-gradient runs and to the declared gamma_target on stochastic runs.
     A problem whose descriptor differs from the trace's record on any key the
-    trace holds raises ValueError naming each such key.
+    trace holds raises ValueError naming each such key; the descriptor's digest
+    tells same-size instances apart, and a trace recorded without one is
+    checked on the keys it has.
     """
     current = problem.descriptor()
+    # the digest last: the named fields before it say how the instances differ
+    recorded = sorted(trace.problem_info.items(), key=lambda item: item[0] == "digest")
     differ = [f"{key} {value!r} in the trace, {current.get(key)!r} in the problem"
-              for key, value in trace.problem_info.items() if current.get(key) != value]
+              for key, value in recorded if current.get(key) != value]
     if differ:
         raise ValueError("trace was recorded on another problem: " + "; ".join(differ))
     if len(trace) == 0 or not np.all(np.isfinite(trace.grad_dual_norm)):

@@ -91,6 +91,7 @@ class TestProblemDirs:
         again = load_problem(out)
         assert type(again) is type(p)
         assert again.descriptor() == p.descriptor()
+        assert json.loads((out / "meta.json").read_text())["digest"] == again.digest
         if isinstance(p, OTProblem):
             assert np.array_equal(again.cost, p.cost)
             for name in ("mu", "nu"):
@@ -365,6 +366,7 @@ class TestCertifyCommand:
         meta["config"].update(beta=4.0, record_objective=False, probe_tol=1e-8,
                               dense_limit=2048)
         meta["trajectory_diameter_hat"] = 1.5  # a retired top-level field
+        del meta["problem"]["digest"]  # written before descriptors had one
         trace_json.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
         assert certify() == before
 
@@ -400,6 +402,19 @@ class TestCertifyCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert "another problem: marginal_floor" in err and "cost_bound" not in err
+
+    def test_maxcut_trace_of_another_instance_names_the_digest(self, tmp_path, capsys):
+        # same-size maxcut instances once described alike, so this passed
+        d, out = self.make_run(tmp_path)
+        other = tmp_path / "mc1"
+        run(["gen", "maxcut", "--n", 8, "--beta", 4, "--seed", 1, "--out", other])
+        trace = SolverTrace.read(out / "trace.csv", out / "trace.json")
+        with pytest.raises(ValueError, match=r"another problem: .*digest '[0-9a-f]{8}' "
+                                             r"in the trace, '[0-9a-f]{8}' in the problem"):
+            certify_gradient_decay(trace, load_problem(other))
+        capsys.readouterr()
+        assert run(["certify", "--problem", other, "--trace", out / "trace.csv"]) == 2
+        assert "digest" in capsys.readouterr().err
 
     def test_missing_problem_dir(self, tmp_path, capsys):
         code = run(["certify", "--problem", tmp_path / "nope",

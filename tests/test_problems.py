@@ -1,14 +1,18 @@
 import json
+import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.linalg import expm
 from scipy.optimize import minimize
 
 from entrodual import (SolverConfig, SymOperator, certify_gradient_decay,
-                       dense_gibbs, gen_er_maxcut, problems, solve, spectral_bounds)
+                       dense_gibbs, gen_er_maxcut, gen_synthetic_ot, problems,
+                       solve, spectral_bounds)
 from entrodual.norms import dual_norm, primal_norm
 from entrodual.operators import DENSE_LIMIT
 from entrodual.probes import ProbeBatch, draw_probes, probe_gibbs
@@ -153,6 +157,137 @@ class TestOTObjective:
         direct = -(p.mu @ phi + p.nu @ psi) + np.log(
             np.exp(-p.beta * (p.cost - phi[:, None] - psi[None, :])).sum()) / p.beta
         assert abs(p.dense_eval((phi, psi))[1] - direct) <= 1e-10
+
+
+def logsumexp_reference(p, duals):
+    """(gradient, objective, plan) of an OT problem by a stable logsumexp.
+
+    The exponent x = -beta C + beta phi + beta psi is formed in float64 in the
+    oracle's order: its own rounding, up to eps |beta C| (2e-12 at beta = 1e4),
+    exceeds the tolerances below, so both sides must round it alike. From x
+    on, the reference is separate: log s = log fsum(exp(x - max x)), the plan
+    is exp(x - max x - log s), and marginals and inner products are fsums.
+    """
+    phi, psi = (np.asarray(v, dtype=float) for v in duals)
+    x = -p.beta * p.cost + (p.beta * phi)[:, None] + (p.beta * psi)[None, :]
+    m = x.max()
+    y = x - m
+    log_s = math.log(math.fsum(np.exp(y).ravel()))
+    plan = np.exp(y - log_s)
+    rows = np.array([math.fsum(r) for r in plan])
+    cols = np.array([math.fsum(c) for c in plan.T])
+    linear = math.fsum(p.mu * phi) + math.fsum(p.nu * psi)
+    return (rows - p.mu, cols - p.nu), -linear + (m + log_s) / p.beta, plan
+
+
+def extreme_ot(rng, beta, center, spread, cost_range, m=9, n=13):
+    """Random OT instance and potentials with beta phi = center + U(-spread, spread)
+    and beta psi = -center + U(-spread, spread), and beta C in [0, cost_range].
+
+    One entry of each marginal is 1e-12, so the marginal floor is 1e-12."""
+    mu, nu = rng.uniform(0.5, 1.5, m), rng.uniform(0.5, 1.5, n)
+    mu[0] = nu[-1] = 1e-12
+    mu[1:] *= (1.0 - 1e-12) / mu[1:].sum()
+    nu[:-1] *= (1.0 - 1e-12) / nu[:-1].sum()
+    p = OTProblem(rng.uniform(0.0, cost_range / beta, (m, n)), mu, nu, beta)
+    duals = ((center + rng.uniform(-spread, spread, m)) / beta,
+             (-center + rng.uniform(-spread, spread, n)) / beta)
+    return p, duals
+
+
+class TestOTOracleReference:
+    # (beta, center, spread, cost_range): |beta phi|, |beta psi| up to 1e3 that
+    # cancel in the exponent and leave a spread plan, and ones spread over
+    # 2e3 with beta C up to beta, which leave a plan on a few entries
+    CASES = [(1.0, 0.0, 1.0, 1.0)] + [
+        case for beta in (1e-3, 10.0, 1e4)
+        for case in ((beta, 1e3, 1.0, 10.0), (beta, 0.0, 1e3, beta))]
+
+    @pytest.mark.parametrize("beta, center, spread, cost_range", CASES)
+    def test_matches_the_logsumexp_reference(self, beta, center, spread, cost_range):
+        rng = np.random.default_rng([7, int(math.log10(beta) + 3), int(center)])
+        p, duals = extreme_ot(rng, beta, center, spread, cost_range)
+        assert p.marginal_floor == 1e-12
+        (gp, gq), obj = p.dense_eval(duals)
+        (rp, rq), ref_obj, ref_plan = logsumexp_reference(p, duals)
+        assert np.abs(gp - rp).max() <= 1e-13 and np.abs(gq - rq).max() <= 1e-13
+        assert abs(obj - ref_obj) <= 1e-12 * abs(ref_obj)
+        plan = p.plan(duals)
+        assert plan.min() >= 0.0 and abs(plan.sum() - 1.0) <= 1e-14
+        assert np.abs(plan - ref_plan).max() <= 1e-13
+        assert abs(math.fsum(gp)) <= 1e-15 and abs(math.fsum(gq)) <= 1e-15
+
+    def test_toy_solve_matches_the_normalizing_oracle(self):
+        p = gen_synthetic_ot(6, seed=0, beta=10.0)
+        ref = NormalizingOracleOT(p.cost, p.mu, p.nu, p.beta)
+        config = SolverConfig(iters=20000, tol_feasibility=1e-3)
+        got, want = solve(p, config), solve(ref, config)
+        assert got.stopped_early and len(got) == len(want)
+        for field in ("feasibility", "grad_dual_norm", "dual_objective", "step_norm"):
+            a, b = getattr(got, field), getattr(want, field)
+            np.testing.assert_allclose(a, b, rtol=1e-10, atol=0.0, err_msg=field)
+
+    def test_one_evaluation_holds_one_plan_sized_temporary(self):
+        # the log-plan is the only m x n array an evaluation allocates
+        p = gen_synthetic_ot(16, seed=0, beta=10.0)
+        duals = p.initial_dual()
+        p.dense_eval(duals)
+        tracemalloc.start()
+        try:
+            p.dense_eval(duals)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * p.cost.size * 8
+
+
+class NormalizingOracleOT(OTProblem):
+    """OT with the oracle that normalizes the plan before its marginal sums."""
+
+    def dense_eval(self, duals):
+        phi, psi = duals
+        e = np.subtract(self.cost, np.asarray(phi)[:, None])
+        e -= np.asarray(psi)[None, :]
+        e *= -self.beta
+        m = e.max()
+        e -= m
+        np.exp(e, out=e)
+        s = e.sum()
+        e /= s
+        grad = (e.sum(axis=1) - self.mu, e.sum(axis=0) - self.nu)
+        return grad, -float(self.mu @ phi + self.nu @ psi) + float(m + np.log(s)) / self.beta
+
+
+class TestDigest:
+    def test_equal_matrices_built_apart_share_a_digest(self):
+        rng = np.random.default_rng(4)
+        a = rng.standard_normal((6, 6))
+        a = np.where(np.abs(a) > 0.8, a + a.T, 0.0)
+        a[2, 3] = a[3, 2] = 0.0
+        canonical = sp.csr_array(a)
+        # int64 indices, each row's columns reversed, and a stored zero at (2, 3)
+        marked = a.copy()
+        marked[2, 3] = marked[3, 2] = 12345.0
+        messy = sp.csr_array(marked)
+        messy.data[messy.data == 12345.0] = 0.0
+        indptr = messy.indptr.astype(np.int64)
+        indices, data = messy.indices.astype(np.int64), messy.data.copy()
+        for lo, hi in zip(indptr[:-1], indptr[1:]):
+            indices[lo:hi], data[lo:hi] = indices[lo:hi][::-1], data[lo:hi][::-1]
+        messy = sp.csr_array((data, indices, indptr), shape=(6, 6))
+        b = np.full(6, 1 / 6)
+        one = MaxCutProblem(SymOperator(canonical), b, 2.0)
+        assert MaxCutProblem(SymOperator(messy), b, 3.0).digest == one.digest
+        other_b = MaxCutProblem(SymOperator(canonical), np.arange(1, 7) / 21, 2.0)
+        assert other_b.digest != one.digest
+
+    @pytest.mark.parametrize("make", [lambda s: gen_er_maxcut(8, seed=s, beta=4.0),
+                                      lambda s: gen_synthetic_ot(4, seed=s)],
+                             ids=["maxcut", "ot"])
+    def test_same_size_instances_differ_and_the_digest_is_kept(self, make):
+        one, two = make(0), make(1)
+        assert one.descriptor()["digest"] != two.descriptor()["digest"]
+        assert one.digest is one.descriptor()["digest"]
 
 
 class TestSDPExactGradient:
