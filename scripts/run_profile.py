@@ -3,15 +3,17 @@
 maxcut: stochastic solves on Erdos-Renyi cut relaxations (edge probability
 3/n) at several sizes; the averaged feasibility curves should coincide across
 sizes (dimension independence).
-ot: exact solves on entropic transport with the dual objective recorded, on
-a bright square over dim noise or, with --images, a pooled pair from an IDX
-image file (0.01 added per pixel).
+ot: exact solves on entropic transport, on a bright square over dim noise
+or, with --images, a pooled pair from an IDX image file (0.01 added per
+pixel).
 permsynch: both synchronization relaxations of N images with K keypoints
 each at beta = 10 log(n)/n, n = N K; strong pins every diagonal block
 (registry max(K, ceil(N/2))), weak only the diagonal and the block mass
 (registry K). Every solve draws problem.default_sample_count() probes.
 
 Each run writes per-replicate traces, an averaged curve and a JSON summary.
+Every family records the dual objective: exact on transport, and on the
+stochastic SDP solves the Hutchinson estimate from each iteration's probes.
 """
 
 import argparse

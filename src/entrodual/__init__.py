@@ -13,7 +13,7 @@ from entrodual.datasets import (
 from entrodual.experiments import ExperimentSpec, build_problem, run_experiment
 from entrodual.norms import BLOCK_SPECTRAL, LINF, PAIR, dual_norm, primal_norm
 from entrodual.operators import (
-    DenseGibbs,
+    ProbeBatch,
     SpectralInterval,
     SymOperator,
     dense_gibbs,
@@ -22,7 +22,7 @@ from entrodual.operators import (
     spectral_bounds,
     vn_entropy,
 )
-from entrodual.probes import ProbeBatch, draw_probes, probe_gibbs
+from entrodual.probes import draw_probes, probe_gibbs
 from entrodual.problems import (
     MaxCutProblem,
     OTProblem,
@@ -49,7 +49,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BLOCK_SPECTRAL",
     "CertificateReport",
-    "DenseGibbs",
     "ExperimentSpec",
     "LINF",
     "MaxCutProblem",

@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 import scipy.io
 
+from entrodual import operators
 from entrodual.experiments import build_problem
 from entrodual.operators import dense_gibbs, load_matrix_market
 from entrodual.problems import (MaxCutProblem, OTProblem,
@@ -137,6 +138,11 @@ def _cmd_solve(args) -> int:
     # every config field has a flag of the same name
     config = SolverConfig(**{f.name: getattr(args, f.name)
                              for f in fields(SolverConfig)})
+    if (args.save_primal and not isinstance(problem, OTProblem)
+            and problem.dimension > operators.DENSE_LIMIT):
+        raise ValueError(f"--save-primal writes the dense n x n Gibbs state, limited to "
+                         f"n <= {operators.DENSE_LIMIT}; this problem has n = "
+                         f"{problem.dimension}")
     trace = solve(problem, config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -1,4 +1,4 @@
-"""Symmetric operators, spectral intervals, exponential action, dense Gibbs states.
+"""Symmetric operators, spectral intervals, exponential action, Gibbs states.
 
 Everything here works on real symmetric matrices only. An operator is one full
 symmetric CSR matrix. Shifting the cost by a dual point is one folded() write
@@ -10,14 +10,15 @@ probes.probe_gibbs for the error of each precision). A wide probe block runs
 through the recurrence in column blocks of 1 MiB per array, as many as a
 multiple of the thread count, one thread per usable core; each column is
 computed on its own, so within one precision the result equals a
-single-block evaluation bit for bit."""
+single-block evaluation bit for bit. ProbeBatch is the one Gibbs-state
+type: dense_gibbs gives the exact one, probes.probe_gibbs an estimate."""
 
 from __future__ import annotations
 
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -31,7 +32,7 @@ from scipy.special import ive
 __all__ = [
     "SymOperator",
     "SpectralInterval",
-    "DenseGibbs",
+    "ProbeBatch",
     "spectral_bounds",
     "expm_action",
     "dense_gibbs",
@@ -479,29 +480,57 @@ def expm_action(op: SymOperator, interval: SpectralInterval, z: np.ndarray,
 
 
 @dataclass(frozen=True)
-class DenseGibbs:
-    """Gibbs state exp(-beta M) / Z = W W^T held as its exact factor W = V sqrt(p).
+class ProbeBatch:
+    """Gibbs state X = W W^T / mass held as the columns of its factor W.
 
-    V holds the eigenvectors of M and p the state's eigenvalues; density
-    forms W W^T only on demand. log_partition is log Tr exp(-beta M).
+    images holds the columns w_s (probe images or the exact dense factor) in
+    the probes' precision; r_i = sum_s w_is^2 is the diagonal of W W^T and
+    mass = sum_i r_i the denominator of every normalized functional, both
+    accumulated in float64, as is every functional the problems read.
+    log_partition = log(mass) + log_norm is log Tr exp(-beta M), or its
+    Hutchinson estimate for probe images; density forms X only on demand.
     """
 
-    factor: np.ndarray
-    log_partition: float
+    images: np.ndarray
+    log_norm: float = 0.0
+    r: np.ndarray = field(init=False)
+    mass: float = field(init=False)
+
+    def __post_init__(self):
+        if self.images.ndim != 2 or self.images.shape[1] < 1:
+            raise ValueError("images must be a 2-d array of at least one column, "
+                             f"got shape {self.images.shape}")
+        object.__setattr__(self, "r", np.einsum("ns,ns->n", self.images,
+                                                self.images, dtype=np.float64))
+        object.__setattr__(self, "mass", float(self.r.sum()))
+        if not 0.0 < self.mass < np.inf:
+            raise ValueError(f"batch mass {self.mass} is not positive and finite")
+
+    @property
+    def n(self) -> int:
+        return self.images.shape[0]
+
+    @property
+    def num_samples(self) -> int:
+        return self.images.shape[1]
+
+    @property
+    def log_partition(self) -> float:
+        return math.log(self.mass) + self.log_norm
 
     @property
     def density(self) -> np.ndarray:
-        x = self.factor @ self.factor.T
-        return (x + x.T) / 2.0
+        x = self.images @ self.images.T
+        return (x + x.T) / (2.0 * self.mass)
 
 
-def dense_gibbs(op: SymOperator, beta: float) -> DenseGibbs:
+def dense_gibbs(op: SymOperator, beta: float) -> ProbeBatch:
     """Eigendecomposition route to the Gibbs state of a symmetric operator.
 
-    Intended as the exact small-scale path; refuses n > DENSE_LIMIT since
-    cost is cubic. The spectral shift by min(eig) keeps the exponentials in
-    range and cancels in the normalized state; it is added back into
-    log_partition.
+    The factor is V sqrt(p), V the eigenvectors and p the state's eigenvalues,
+    and log_norm is log Tr exp(-beta op). Refuses n > DENSE_LIMIT since cost
+    is cubic. The spectral shift by min(eig) keeps the exponentials in range
+    and cancels in the state; it is added back into log_norm.
     """
     if not 0.0 < beta < np.inf:
         raise ValueError("beta must be positive and finite")
@@ -511,9 +540,7 @@ def dense_gibbs(op: SymOperator, beta: float) -> DenseGibbs:
     evals, vecs = np.linalg.eigh(op.to_dense())
     w = np.exp(-beta * (evals - evals[0]))
     z = w.sum()
-    occ = w / z
-    return DenseGibbs(factor=vecs * np.sqrt(occ),
-                      log_partition=float(np.log(z) - beta * evals[0]))
+    return ProbeBatch(vecs * np.sqrt(w / z), float(np.log(z) - beta * evals[0]))
 
 
 def vn_entropy(x: np.ndarray) -> float:

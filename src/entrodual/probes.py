@@ -1,23 +1,24 @@
 """Rademacher trace probes of Gibbs states.
 
-A probe batch holds a factor W of a Gibbs state, read as X = W W^T / mass.
-Its columns are w_s = exp(-(beta/2) M) z_s for Rademacher z_s, an estimate,
-or the exact factor V sqrt(p) of dense_gibbs. Each SDP problem reads every
-functional its gradient needs (the diagonal, the diagonal blocks, the block
-sums) straight from W in its stochastic_gradient. Each is a ratio of
+A ProbeBatch (from operators) holds a factor W of a Gibbs state, read as
+X = W W^T / mass: w_s = exp(-(beta/2) M) z_s for Rademacher z_s, or the exact
+factor of dense_gibbs. Each SDP problem reads every functional its gradient
+needs straight from W in its stochastic_gradient; each is a ratio of
 quadratic forms in the columns, so a common positive factor, such as the
-spectral shift applied inside the exponential, cancels.
+spectral shift inside the exponential, cancels. log(mass) + log_norm is a
+Hutchinson estimate of log Tr exp(-beta M).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
 from typing import Optional
 
 import numpy as np
 from numpy.random import Philox
 
-from entrodual.operators import SpectralInterval, SymOperator, expm_action, reused
+from entrodual.operators import (ProbeBatch, SpectralInterval, SymOperator, expm_action,
+                                 reused)
 
 __all__ = ["ProbeBatch", "draw_probes", "probe_gibbs"]
 
@@ -62,40 +63,6 @@ def draw_probes(n: int, num_samples: int, seed: int, iteration: int,
     return half.view("<f4")[:, :n].T.astype(dtype, copy=False)
 
 
-@dataclass(frozen=True)
-class ProbeBatch:
-    """Columns of a Gibbs factor with their row energies, derived from them.
-
-    images holds the columns w_s (probe images or the exact dense factor) in
-    the probes' precision; r_i = sum_s w_is^2 is the diagonal of W W^T and
-    mass = sum_i r_i the denominator of every normalized functional, both
-    accumulated in float64, as is every functional the problems read.
-    """
-
-    images: np.ndarray
-    r: np.ndarray = field(init=False)
-    mass: float = field(init=False)
-
-    def __post_init__(self):
-        if self.images.ndim != 2 or self.images.shape[1] < 1:
-            raise ValueError("images must be a 2-d array of at least one column, "
-                             f"got shape {self.images.shape}")
-        object.__setattr__(self, "r", np.einsum("ns,ns->n", self.images,
-                                                self.images, dtype=np.float64))
-        object.__setattr__(self, "mass", float(self.r.sum()))
-        if not self.mass > 0.0:
-            raise ValueError(f"probe batch has zero or non-finite mass {self.mass}; "
-                             "probes cannot all vanish")
-
-    @property
-    def n(self) -> int:
-        return self.images.shape[0]
-
-    @property
-    def num_samples(self) -> int:
-        return self.images.shape[1]
-
-
 def probe_gibbs(op: SymOperator, beta: float, interval: SpectralInterval,
                 probes: np.ndarray, tol: float = 1e-8,
                 work: Optional[dict] = None) -> ProbeBatch:
@@ -103,7 +70,8 @@ def probe_gibbs(op: SymOperator, beta: float, interval: SpectralInterval,
 
     interval must contain the spectrum of op. The exponent is shifted so its
     spectrum lies in [-(beta/2) width, 0]; the discarded common factor
-    exp(-(beta/2) interval.lo) cancels in every normalized functional.
+    exp(-(beta/2) interval.lo) cancels in every normalized functional. As
+    E[mass] = S Tr exp(-beta (op - interval.lo)), log_norm = -log S - beta lo.
 
     float32 probes (Rademacher signs are exact in float32) run in float32,
     with the series truncated at float32 roundoff, about 1.2e-7 per unit of
@@ -127,4 +95,4 @@ def probe_gibbs(op: SymOperator, beta: float, interval: SpectralInterval,
     half = 0.5 * beta
     w = expm_action(op, interval, z, tol=tol, scale=-half,
                     shift=half * interval.lo, work=work)
-    return ProbeBatch(w)
+    return ProbeBatch(w, -math.log(z.shape[1]) - beta * interval.lo)

@@ -6,10 +6,10 @@ dual point, one exact evaluator dense_eval(duals) returning
 (gradient, objective), a probe-based stochastic gradient for the SDPs, the
 norm-induced update, and the primal feasibility metric derived from the
 gradient. Each gradient is the constraint residual of the current Gibbs state,
-so feasibility is a cheap function of it. An SDP reads its residual
-A(W W^T / mass) - b once, in stochastic_gradient, from a factor W: the probe
-images, or in dense_eval the exact factor of one eigendecomposition, whose
-log partition also gives the objective.
+so feasibility is a cheap function of it. An SDP reads both from one Gibbs
+state in evaluate: the residual A(W W^T / mass) - b in stochastic_gradient,
+the objective from its log partition. The state is the probe images, or in
+dense_eval the exact factor of one eigendecomposition.
 
 Sign convention: the dual concave objective g(lambda) is stored negated, as
 f(lambda) = -g(lambda), so every routine here minimizes f. Constraint data
@@ -29,8 +29,7 @@ import numpy as np
 from entrodual.norms import (BLOCK_SPECTRAL, LINF, PAIR, BlockSpectralGeometry,
                              LinfGeometry, PairGeometry, step_block, step_linf,
                              step_pair)
-from entrodual.operators import SymOperator, dense_gibbs
-from entrodual.probes import ProbeBatch
+from entrodual.operators import ProbeBatch, SymOperator, dense_gibbs
 
 __all__ = [
     "MaxCutProblem",
@@ -59,21 +58,29 @@ def _digest(cost, *vectors) -> str:
 
 
 class _GibbsProblem:
-    """Shared by the SDPs: dense_eval reads the exact factor via stochastic_gradient."""
+    """Shared by the SDPs: every evaluation reads one Gibbs state's batch."""
 
     @property
     def dimension(self) -> int:
         return self.cost.n
 
+    def _check_cost(self) -> None:
+        bad = int(np.count_nonzero(~np.isfinite(self.cost.base.data)))
+        if bad:
+            raise ValueError(f"cost must be finite; {bad} of its entries are not")
+
     def _check_batch(self, batch: ProbeBatch) -> None:
         if batch.n != self.dimension:
             raise ValueError("probe batch dimension mismatch")
 
+    def evaluate(self, lam, batch: ProbeBatch):
+        """(gradient, objective) read from the Gibbs state batch at lam."""
+        return (self.stochastic_gradient(batch),
+                -self.linear_term(lam) + batch.log_partition / self.beta)
+
     def dense_eval(self, lam):
         """(gradient, objective) from a single eigendecomposition."""
-        state = dense_gibbs(self.shifted_operator(lam), self.beta)
-        return (self.stochastic_gradient(ProbeBatch(state.factor)),
-                -self.linear_term(lam) + state.log_partition / self.beta)
+        return self.evaluate(lam, dense_gibbs(self.shifted_operator(lam), self.beta))
 
     def default_sample_count(self) -> int:
         return max(1, ceil(25 * log(max(2, self.dimension))))
@@ -88,6 +95,7 @@ class MaxCutProblem(_GibbsProblem):
     beta: float
 
     def __post_init__(self):
+        self._check_cost()
         b = np.asarray(self.b, dtype=float)
         object.__setattr__(self, "b", b)
         if b.shape != (self.cost.n,):
@@ -253,6 +261,7 @@ class _SyncProblem(_GibbsProblem):
     beta: float
 
     def __post_init__(self):
+        self._check_cost()
         for name in ("num_images", "block_size"):
             check_count(name, getattr(self, name))
         if self.num_images < 1 or self.block_size < 1:

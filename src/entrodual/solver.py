@@ -2,19 +2,19 @@
 
 One solve() drives any of the four problems. Optimal transport always uses
 exact gradients (they cost a few elementwise passes over one m x n array of the
-stabilized Gibbs kernel, and no normalized plan). The SDPs run either
-on the dense eigendecomposition oracle or on the stochastic probe path with a
-fresh batch per iteration. On the probe path every iteration encloses the
-spectrum of its shifted cost with a short Lanczos run, so the probe images
-stay O(||z||) at any beta. An uncertified interval, or a batch whose images
-grew (which a lower end at or below the smallest eigenvalue rules out), is
-redone on the Gershgorin interval. Batches run in float32, and _probe_batch
-says when one is redone in float64 or refused. A run holds one probe block:
-every iteration draws its probes and writes its images into the same buffers,
-and a batch is released once its gradient is read. TRACE_COLUMNS is the one
-trace.csv schema: the writer, the reader, solve() and the averaged
-experiment curves walk it; the record grows with the iterations run, not those
-requested. write_json writes every JSON file of the package.
+stabilized Gibbs kernel, and no normalized plan). The SDPs run either on the
+dense eigendecomposition oracle or on the stochastic probe path with a fresh
+batch per iteration, each read by the problem's evaluate. On the probe path
+every iteration encloses the spectrum of its shifted cost with a short
+Lanczos run, so the probe images stay O(||z||) at any beta. An uncertified
+interval, or a batch whose images grew (which a lower end at or below the
+smallest eigenvalue rules out), is redone on the Gershgorin interval. Batches
+run in float32, and _probe_batch says when one is redone in float64 or
+refused. A run holds one probe block: every iteration draws its probes and
+writes its images into the same buffers, and a batch is released once it is
+evaluated. TRACE_COLUMNS is the one trace.csv schema: the writer, the reader,
+solve() and the averaged experiment curves walk it; the record grows with the
+iterations run, not those requested. write_json writes every JSON file.
 """
 
 from __future__ import annotations
@@ -122,8 +122,8 @@ class SolverConfig:
 class SolverTrace:
     """Dense per-iteration metrics plus the best-gradient iterate.
 
-    dual_objective is the negated dual objective of each exact evaluation
-    (transport and the dense oracle) and NaN on the stochastic path.
+    dual_objective is the negated dual objective of each evaluation, on the
+    stochastic path the Hutchinson estimate from the gradient's own batch.
     best_iteration minimizes the recorded gradient dual norm, which on
     stochastic runs is the computable proxy for the exact argmin selection rule.
     """
@@ -332,12 +332,11 @@ def solve(problem, config: SolverConfig,
     for t in range(config.iters):
         tic = time.perf_counter()
         try:
-            objective = math.nan
             if exact:
                 grad, objective = problem.dense_eval(lam)
             else:
-                # no name holds the probes or their batch past the gradient
-                grad = problem.stochastic_gradient(_probe_batch(
+                # no name holds the probes or their batch past the evaluation
+                grad, objective = problem.evaluate(lam, _probe_batch(
                     problem.shifted_operator(lam), problem.beta,
                     draw_probes(problem.dimension, config.samples, config.seed, t,
                                 np.float32, work=work),

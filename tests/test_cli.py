@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.io
 
+from entrodual import operators
 from entrodual.cli import _write_vector, load_problem, main, write_problem
 from entrodual.datasets import (gen_er_maxcut, gen_permsynch, gen_synthetic_ot,
                                 PermSynchModel)
@@ -193,6 +194,37 @@ class TestSolveCommand:
         assert np.trace(x) == pytest.approx(1.0, abs=1e-10)
         assert np.abs(np.diag(x) - 1.0 / 6).sum() < 1e-6
         assert np.linalg.eigvalsh(x).min() > -1e-12
+
+    def test_save_primal_above_the_dense_limit_refused_before_solving(
+            self, tmp_path, capsys, monkeypatch):
+        # the limit is read when the command runs; nothing is solved or written
+        monkeypatch.setattr(operators, "DENSE_LIMIT", 7)
+        d = tmp_path / "mc"
+        run(["gen", "maxcut", "--n", 8, "--beta", 4, "--out", d])
+        out = tmp_path / "run"
+        code = run(["solve", "maxcut", "--problem", d, "--iters", 3,
+                    "--samples", 8, "--save-primal", "--out", out])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--save-primal" in err and "n <= 7" in err and "n = 8" in err
+        assert not out.exists()
+        assert run(["solve", "maxcut", "--problem", d, "--iters", 3,
+                    "--samples", 8, "--out", out]) == 0
+
+    @pytest.mark.parametrize("kind, value", [("maxcut", np.nan), ("maxcut", np.inf),
+                                             ("ps-weak", np.nan)])
+    def test_non_finite_cost_exits_two_naming_the_cost(self, tmp_path, capsys,
+                                                       kind, value):
+        d = tmp_path / "p"
+        args = (["--n", 6] if kind == "maxcut" else
+                ["--num-images", 3, "--keypoints", 2, "--registry", 4])
+        run(["gen", kind, *args, "--out", d])
+        cost = load_problem(d).cost.to_sparse().tolil()
+        cost[0, 0] = value
+        scipy.io.mmwrite(d / "cost.mtx", cost.tocsr(), symmetry="symmetric")
+        code = run(["solve", kind, "--problem", d, "--iters", 2, "--out", tmp_path / "r"])
+        assert code == 2
+        assert "cost must be finite" in capsys.readouterr().err
 
     def test_stochastic_run_records_samples(self, tmp_path):
         d = tmp_path / "mc"

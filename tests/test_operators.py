@@ -16,6 +16,7 @@ from scipy.special import ive
 from scipy.stats import ortho_group
 
 from entrodual import (
+    ProbeBatch,
     SpectralInterval,
     SymOperator,
     dense_gibbs,
@@ -773,9 +774,12 @@ class TestDenseGibbs:
     def test_factor_reproduces_density(self):
         rng = np.random.default_rng(13)
         g = dense_gibbs(SymOperator.from_dense(random_symmetric(rng, 9)), beta=1.7)
-        assert g.factor.shape == (9, 9)
-        np.testing.assert_allclose(g.factor @ g.factor.T, g.density, atol=1e-15)
-        assert abs(np.sum(g.factor * g.factor) - 1.0) <= 1e-14
+        # the exact state is a ProbeBatch of mass 1 whose log_norm is log Z
+        assert isinstance(g, ProbeBatch)
+        assert abs(g.log_partition - g.log_norm) <= 1e-14
+        assert g.images.shape == (9, 9)
+        np.testing.assert_allclose(g.images @ g.images.T, g.density, atol=1e-15)
+        assert abs(np.sum(g.images * g.images) - 1.0) <= 1e-14
 
 
 class TestEntropy:

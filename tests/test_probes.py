@@ -159,6 +159,12 @@ class TestProbeGibbs:
         with pytest.raises(ValueError, match="mass"):
             ProbeBatch(np.zeros((3, 2)))
 
+    @pytest.mark.parametrize("top", [np.inf, 1e200], ids=["inf", "overflow"])
+    def test_infinite_mass_rejected(self, top):
+        # an infinite mass would give an infinite log_partition
+        with pytest.raises(ValueError, match="mass inf is not positive and finite"):
+            ProbeBatch(np.array([[top], [1.0]]))
+
     def test_beta_positive(self):
         op = SymOperator.from_dense(np.eye(2))
         with pytest.raises(ValueError):

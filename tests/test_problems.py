@@ -10,9 +10,10 @@ import scipy.sparse as sp
 from scipy.linalg import expm
 from scipy.optimize import minimize
 
-from entrodual import (SolverConfig, SymOperator, certify_gradient_decay,
-                       dense_gibbs, gen_er_maxcut, gen_synthetic_ot, problems,
-                       solve, spectral_bounds)
+from entrodual import (PermSynchModel, SolverConfig, SymOperator,
+                       certify_gradient_decay, dense_gibbs, gen_er_maxcut,
+                       gen_permsynch, gen_synthetic_ot, problems, solve,
+                       spectral_bounds)
 from entrodual.norms import dual_norm, primal_norm
 from entrodual.operators import DENSE_LIMIT
 from entrodual.probes import ProbeBatch, draw_probes, probe_gibbs
@@ -460,6 +461,31 @@ class TestSDPStochasticGradient:
             block = rows @ rows.T / batch.mass
             np.testing.assert_allclose(grad[i], block - np.eye(2) / 6.0, atol=1e-13)
 
+    @pytest.mark.parametrize("steps", [0, 5])
+    @pytest.mark.parametrize("make", [
+        lambda: gen_er_maxcut(200, seed=0, beta=10.0),
+        lambda: gen_permsynch(PermSynchModel(20, 5, 8, 0.15, seed=0), 1.0, "strong"),
+        lambda: gen_permsynch(PermSynchModel(20, 5, 8, 0.15, seed=0), 1.0, "weak"),
+    ], ids=["maxcut", "ps-strong", "ps-weak"])
+    def test_objective_estimate_within_four_sigma_of_exact(self, make, steps):
+        # the batch's Hutchinson estimate of log Z gives f_hat; over 32 probe
+        # seeds every f_hat lies within 4 sigma of dense_eval's f, and the
+        # bias of the log stays below the spread
+        p = make()
+        lam = (p.initial_dual() if steps == 0 else
+               solve(p, SolverConfig(iters=steps, dense_oracle=True)).final_dual)
+        f = p.dense_eval(lam)[1]
+        op = p.shifted_operator(lam)
+        interval = spectral_bounds(op)
+        s = p.default_sample_count()
+        f_hat = np.array([p.evaluate(lam, probe_gibbs(
+            op, p.beta, interval, draw_probes(p.dimension, s, seed, 0)))[1]
+            for seed in range(32)])
+        sigma = f_hat.std(ddof=1)
+        assert 0.0 < sigma < 0.1
+        assert np.abs(f_hat - f).max() <= 4.0 * sigma
+        assert abs(f_hat.mean() - f) <= sigma
+
     def test_dimension_mismatch(self):
         p = random_maxcut(np.random.default_rng(10), 5)
         op = SymOperator.zeros(4)
@@ -611,6 +637,11 @@ def _ot_with(cost=None, mu=None, beta=1.0):
 NAN, INF = float("nan"), float("inf")
 
 
+def _cost_with(x):
+    """A 4 x 4 SDP cost whose first diagonal entry is x."""
+    return SymOperator.from_dense(np.diag([x, 0.0, 0.0, 0.0]))
+
+
 @pytest.mark.parametrize("build", [
     lambda: gen_er_maxcut(20, beta=NAN),
     lambda: MaxCutProblem(SymOperator.zeros(2), np.full(2, 0.5), INF),
@@ -620,6 +651,12 @@ NAN, INF = float("nan"), float("inf")
     lambda: _ot_with(cost=np.array([[1.0, INF, 0.0]] * 3)),
     lambda: StrongPermSyncProblem(SymOperator.zeros(4), 2, 2, NAN),
     lambda: WeakPermSyncProblem(SymOperator.zeros(4), 2, 2, INF),
+    lambda: MaxCutProblem(_cost_with(NAN), np.full(4, 0.25), 1.0),
+    lambda: MaxCutProblem(_cost_with(INF), np.full(4, 0.25), 1.0),
+    lambda: StrongPermSyncProblem(_cost_with(NAN), 2, 2, 1.0),
+    lambda: StrongPermSyncProblem(_cost_with(INF), 2, 2, 1.0),
+    lambda: WeakPermSyncProblem(_cost_with(NAN), 2, 2, 1.0),
+    lambda: WeakPermSyncProblem(_cost_with(-INF), 2, 2, 1.0),
     lambda: SolverConfig(eta=INF),
     lambda: SolverConfig(eta=NAN),
     lambda: dense_gibbs(SymOperator.zeros(2), NAN),
@@ -643,6 +680,8 @@ NAN, INF = float("nan"), float("inf")
     lambda: _read_toy(best_grad_dual_norm=NAN),
 ], ids=["er-maxcut-beta-nan", "maxcut-beta-inf", "ot-beta-nan", "ot-mu-nan",
         "ot-cost-nan", "ot-cost-inf", "ps-strong-beta-nan", "ps-weak-beta-inf",
+        "maxcut-cost-nan", "maxcut-cost-inf", "ps-strong-cost-nan",
+        "ps-strong-cost-inf", "ps-weak-cost-nan", "ps-weak-cost-minus-inf",
         "config-eta-inf", "config-eta-nan", "dense-gibbs-beta-nan",
         "config-tol-nan", "config-tol-negative", "config-gamma-nan",
         "config-gamma-negative", "certify-gamma-nan", "certify-gamma-negative",

@@ -7,6 +7,7 @@ import json
 import math
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -123,9 +124,9 @@ class TestSolveBasics:
         assert [t for t, _ in seen] == list(range(7))
         assert np.array_equal(seen[0][1], np.zeros(6))
 
-    def test_objective_recorded_on_exact_paths_only(self):
+    def test_objective_recorded_on_every_path(self):
         # transport and the dense oracle keep the objective their exact
-        # evaluation returns; the probe path never forms it
+        # evaluation returns; the probe path keeps the estimate its batch gives
         mc = random_maxcut(7, beta=3.0, seed=4)
         for p, cfg in [(mc, SolverConfig(iters=6, dense_oracle=True)),
                        (random_ot(5, 4, beta=6.0, seed=2), SolverConfig(iters=6))]:
@@ -133,8 +134,11 @@ class TestSolveBasics:
             tr = solve(p, cfg, callback=lambda t, lam, g: seen.append(lam))
             assert np.all(np.isfinite(tr.dual_objective))
             assert list(tr.dual_objective) == [p.dense_eval(lam)[1] for lam in seen]
-        tr = solve(mc, SolverConfig(iters=6, samples=16, seed=5))
-        assert np.all(np.isnan(tr.dual_objective))
+        cfg = SolverConfig(iters=6, samples=16, seed=5)
+        tr = solve(mc, cfg)
+        assert np.all(np.isfinite(tr.dual_objective))
+        want, _ = manual_trace(mc, cfg, np.float32)
+        assert np.array_equal(tr.dual_objective, want[3])
 
     @pytest.mark.parametrize("make", [
         lambda: random_maxcut(7, beta=3.0, seed=4),
@@ -446,7 +450,8 @@ class TestProbeInterval:
 def manual_trace(problem, cfg, dtype=np.float64):
     """The stochastic solve run by hand from the public pieces: draw_probes,
     cast to a contiguous block of dtype, probe_gibbs on the Lanczos interval,
-    stochastic_gradient in the form its geometry prepares, and update.
+    the batch's gradient and objective from evaluate, the gradient in the
+    form its geometry prepares, and update.
     Returns the trace.csv columns but wall_ms, and the best row."""
     family, lam, eta = problem.norm_family(), problem.initial_dual(), cfg.resolve(problem)
     cols = []
@@ -460,9 +465,10 @@ def manual_trace(problem, cfg, dtype=np.float64):
         # neither grew nor fell below the float32 floor
         assert interval.certified
         assert solver_module._FLOAT32_FLOOR <= batch.mass / z.size <= 1.0
-        grad = family.prepare(problem.stochastic_gradient(batch))
+        grad, objective = problem.evaluate(lam, batch)
+        grad = family.prepare(grad)
         new_lam = problem.update(lam, grad, eta)
-        cols.append((t, problem.feasibility_error(grad), dual_norm(family, grad), math.nan,
+        cols.append((t, problem.feasibility_error(grad), dual_norm(family, grad), objective,
                      primal_norm(family, family.diff(new_lam, lam))))
         lam = new_lam
     cols = np.array(cols).T
@@ -738,8 +744,11 @@ class TestSerialization:
             assert float(row[4]) == pytest.approx(tr.step_norm[i], rel=1e-10)
 
     def test_csv_blank_objective_column_when_unrecorded(self, tmp_path):
+        # every solve records its objective; a NaN one, as an evaluator that
+        # returns none gives, is written as blank cells
         p = random_maxcut(6, beta=2.0, seed=5)
         tr = solve(p, SolverConfig(iters=3, samples=16, seed=5))
+        tr = replace(tr, dual_objective=np.full(len(tr), np.nan))
         path = tmp_path / "trace.csv"
         tr.write_csv(path)
         with open(path) as fh:
