@@ -82,6 +82,7 @@ def _random_square_image(k: int, rng) -> np.ndarray:
 
 def gen_synthetic_ot(k: int, seed: int = 0, beta: float = 10.0) -> OTProblem:
     """Two square-foreground images on a k x k grid with the scaled l2 grid cost."""
+    check_count("k", k)
     if k < 2:
         raise ValueError("need a grid of side at least 2")
     rng = np.random.default_rng(seed)
@@ -127,6 +128,9 @@ def _pool_weights(src: int, dst: int) -> np.ndarray:
 
 def load_mnist_pair(path, k: int, seed: int = 0, beta: float = 10.0) -> OTProblem:
     """Two random images from an IDX file, average-pooled to k x k, +0.01 per pixel."""
+    check_count("k", k)
+    if k < 1:
+        raise ValueError("need a grid of side at least 1")
     images = _read_idx_images(path)
     if images.shape[0] < 2:
         raise ValueError("need at least two images in the IDX file")

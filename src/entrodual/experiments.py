@@ -16,6 +16,7 @@ import numpy as np
 
 from entrodual.datasets import (PermSynchModel, gen_er_maxcut, gen_permsynch,
                                 gen_synthetic_ot, load_mnist_pair)
+from entrodual.problems import check_count
 from entrodual.solver import TRACE_COLUMNS, SolverConfig, solve, write_json
 
 __all__ = ["ExperimentSpec", "run_experiment", "build_problem"]
@@ -53,6 +54,7 @@ class ExperimentSpec:
     name: str = "experiment"
 
     def __post_init__(self):
+        check_count("replicates", self.replicates)
         if self.replicates < 1:
             raise ValueError("need at least one replicate")
 

@@ -3,18 +3,19 @@
 Three geometries cover the four problems: the sup norm on a single vector
 (LINF), a scaled sup-pair norm on a pair of vectors (PAIR), and a max
 spectral norm on a stack of symmetric blocks (BLOCK_SPECTRAL). Each is one
-shared object whose primal(x), dual(g) and diff(a, b) know the payload's
-shape; a problem's norm_family() returns its geometry, and primal_norm and
-dual_norm are the module-level entry points the solver calls. prepare(g)
-gives a gradient the form its geometry reads fastest: BLOCK_SPECTRAL
-decomposes each block once, into a BlockSpectrum that its norms and
-step_block read in place of the stack; the vector geometries return g.
+shared object whose primal(x), dual(g), diff(a, b) and step(point, g, eta)
+know the payload's shape; a problem's norm_family() returns its geometry,
+which takes every solver step, and primal_norm and dual_norm call its norms.
+prepare(g) gives a gradient the form its geometry reads fastest:
+BLOCK_SPECTRAL decomposes each block once, into a BlockSpectrum that its
+norms and step_block read in place of the stack; the others return g.
 
-Each dual step is the exact minimizer of the linearized objective plus a
-proximal term ||delta||^2 / (2 eta): the step length is always
-eta * dual_norm(g) and the model decrease is (eta/2) * dual_norm(g)^2, so
-steepest descent happens along the sign pattern (or matrix sign) of the
-gradient. Every step returns a fresh payload and leaves its inputs unchanged.
+Each step (step_linf, step_pair, step_block) is the exact minimizer of the
+linearized objective plus a proximal term ||delta||^2 / (2 eta): its length
+is always eta * dual_norm(g), which the solver records without measuring the
+move, and the model decrease is (eta/2) * dual_norm(g)^2, so steepest descent
+happens along the sign pattern (or matrix sign) of the gradient. Every step
+returns a fresh payload and leaves its inputs unchanged.
 """
 
 from __future__ import annotations
@@ -52,6 +53,9 @@ class LinfGeometry:
     def prepare(self, g):
         return g
 
+    def step(self, point, g, eta: float):
+        return step_linf(point, g, eta)
+
 
 class PairGeometry:
     """Payload a pair (u, v); primal sqrt(2(max|u|^2 + max|v|^2)),
@@ -73,6 +77,9 @@ class PairGeometry:
 
     def prepare(self, g):
         return g
+
+    def step(self, point, g, eta: float):
+        return step_pair(point, g, eta)
 
 
 @dataclass(frozen=True)
@@ -120,6 +127,9 @@ class BlockSpectralGeometry:
 
     def diff(self, a, b):
         return a - b
+
+    def step(self, point, g, eta: float):
+        return step_block(point, g, eta)
 
 
 LINF = LinfGeometry()

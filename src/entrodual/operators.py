@@ -562,5 +562,12 @@ def vn_entropy(x: np.ndarray) -> float:
 
 
 def load_matrix_market(path) -> SymOperator:
-    """Read a symmetric real matrix from a MatrixMarket file."""
-    return SymOperator.from_sparse(scipy.io.mmread(path))
+    """Read a symmetric real matrix from a MatrixMarket file; a non-finite or
+    asymmetric matrix raises ValueError naming the file."""
+    m = sp.csr_array(scipy.io.mmread(path))
+    if bad := int(np.count_nonzero(~np.isfinite(m.data))):
+        raise ValueError(f"{path}: matrix must be finite; {bad} of its entries are not")
+    try:
+        return SymOperator.from_sparse(m)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None

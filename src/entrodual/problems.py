@@ -1,15 +1,16 @@
 """The four entropically regularized problems behind one dual-solver contract.
 
 Each problem owns its cost data and exposes: its dual norm geometry (one of
-the shared norms.LINF, PAIR and BLOCK_SPECTRAL objects), the zero initial
-dual point, one exact evaluator dense_eval(duals) returning
-(gradient, objective), a probe-based stochastic gradient for the SDPs, the
-norm-induced update, and the primal feasibility metric derived from the
-gradient. Each gradient is the constraint residual of the current Gibbs state,
-so feasibility is a cheap function of it. An SDP reads both from one Gibbs
-state in evaluate: the residual A(W W^T / mass) - b in stochastic_gradient,
-the objective from its log partition. The state is the probe images, or in
-dense_eval the exact factor of one eigendecomposition.
+the shared norms.LINF, PAIR and BLOCK_SPECTRAL objects, which also takes the
+dual step), the zero initial dual point, one exact evaluator
+dense_eval(duals) returning (gradient, objective), a probe-based stochastic
+gradient for the SDPs, and the primal feasibility metric: the geometry's
+dual norm of the gradient, except on ps-weak and OT. Each gradient is the
+constraint residual of the current Gibbs state, so feasibility is a cheap
+function of it. An SDP reads both from one Gibbs state in evaluate: the
+residual A(W W^T / mass) - b in stochastic_gradient, the objective from its
+log partition. The state is the probe images, or in dense_eval the exact
+factor of one eigendecomposition.
 
 Sign convention: the dual concave objective g(lambda) is stored negated, as
 f(lambda) = -g(lambda), so every routine here minimizes f. Constraint data
@@ -27,8 +28,7 @@ from typing import Tuple
 import numpy as np
 
 from entrodual.norms import (BLOCK_SPECTRAL, LINF, PAIR, BlockSpectralGeometry,
-                             LinfGeometry, PairGeometry, step_block, step_linf,
-                             step_pair)
+                             LinfGeometry, PairGeometry)
 from entrodual.operators import ProbeBatch, SymOperator, dense_gibbs
 
 __all__ = [
@@ -72,6 +72,9 @@ class _GibbsProblem:
     def _check_batch(self, batch: ProbeBatch) -> None:
         if batch.n != self.dimension:
             raise ValueError("probe batch dimension mismatch")
+
+    def feasibility_error(self, grad) -> float:
+        return self.norm_family().dual(grad)
 
     def evaluate(self, lam, batch: ProbeBatch):
         """(gradient, objective) read from the Gibbs state batch at lam."""
@@ -127,12 +130,6 @@ class MaxCutProblem(_GibbsProblem):
         self._check_batch(batch)
         return batch.r / batch.mass - self.b
 
-    def update(self, lam, grad, eta: float) -> np.ndarray:
-        return step_linf(lam, grad, eta)
-
-    def feasibility_error(self, grad) -> float:
-        return LINF.dual(grad)
-
     @cached_property
     def digest(self) -> str:
         """_digest of the cost and b, computed once: the problem is immutable."""
@@ -153,7 +150,8 @@ class OTProblem:
     largest exponent, into one fresh array of the cost's shape and never
     normalizes it: the marginals are E's row and column sums over its total
     s (the sum of the row sums), and log Z = m + log s. plan() alone divides
-    E by s.
+    E by s. A constant added to phi or to psi changes neither f nor its
+    gradient (m absorbs it), so the potentials are never centred.
     """
 
     cost: np.ndarray
@@ -225,10 +223,6 @@ class OTProblem:
         grad = (rows / s - self.mu, e.sum(axis=0) / s - self.nu)
         log_z = m + float(np.log(s))
         return grad, -float(self.mu @ phi + self.nu @ psi) + log_z / self.beta
-
-    def update(self, duals, grad, eta: float):
-        phi, psi = step_pair(duals, grad, eta)
-        return (phi - phi.mean(), psi - psi.mean())
 
     def feasibility_error(self, grad) -> float:
         gp, gq = grad
@@ -323,12 +317,6 @@ class StrongPermSyncProblem(_SyncProblem):
         blocks /= batch.mass
         return blocks - np.eye(k) / self.dimension
 
-    def update(self, lam, grad, eta: float) -> np.ndarray:
-        return step_block(lam, grad, eta)
-
-    def feasibility_error(self, grad) -> float:
-        return BLOCK_SPECTRAL.dual(grad)
-
     def default_sample_count(self) -> int:
         return max(1, ceil(8 * self.block_size * log(max(2, self.dimension))))
 
@@ -369,9 +357,6 @@ class WeakPermSyncProblem(_SyncProblem):
                                                                * self.block_size)
         inv_n = 1.0 / self.dimension
         return (batch.r / batch.mass - inv_n, block_means - inv_n)
-
-    def update(self, duals, grad, eta: float):
-        return step_pair(duals, grad, eta)
 
     def feasibility_error(self, grad) -> float:
         g, h = grad

@@ -4,9 +4,11 @@ One solve() drives any of the four problems. Optimal transport always uses
 exact gradients (they cost a few elementwise passes over one m x n array of the
 stabilized Gibbs kernel, and no normalized plan). The SDPs run either on the
 dense eigendecomposition oracle or on the stochastic probe path with a fresh
-batch per iteration, each read by the problem's evaluate. On the probe path
-every iteration encloses the spectrum of its shifted cost with a short
-Lanczos run, so the probe images stay O(||z||) at any beta. An uncertified
+batch per iteration, each read by the problem's evaluate. The problem's norm
+geometry takes each step, and step_norm is its length by the argmin identity
+(see norms), eta times the gradient's dual norm. On the probe path every
+iteration encloses the spectrum of its shifted cost with a short Lanczos
+run, so the probe images stay O(||z||) at any beta. An uncertified
 interval, or a batch whose images grew (which a lower end at or below the
 smallest eigenvalue rules out), is redone on the Gershgorin interval. Batches
 run in float32, and _probe_batch says when one is redone in float64 or
@@ -33,7 +35,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from entrodual.norms import dual_norm, primal_norm
+from entrodual.norms import dual_norm
 from entrodual.operators import SpectralInterval, spectral_bounds
 from entrodual.probes import draw_probes, probe_gibbs
 from entrodual.problems import OTProblem, check_count
@@ -310,9 +312,9 @@ def solve(problem, config: SolverConfig,
     """Run dual descent from the zero dual point and record per-iteration metrics.
 
     callback, if given, is invoked as callback(t, dual_point, gradient) after
-    the metrics of iteration t are computed and before the update is applied.
+    the metrics of iteration t are computed and before the step is taken.
     It must not change dual_point or gradient in place: the trace keeps the
-    best dual point by reference, since every update returns a fresh payload.
+    best dual point by reference, since every step returns a fresh payload.
     Backend failures are re-raised with the iteration index attached.
     """
     eta = config.resolve(problem)
@@ -352,9 +354,8 @@ def solve(problem, config: SolverConfig,
                 best_t, best_lam, best_g = t, lam, float(gnorm)
             if callback is not None:
                 callback(t, lam, grad)
-            new_lam = problem.update(lam, measured, eta)
-            step = primal_norm(family, family.diff(new_lam, lam))
-            lam = new_lam
+            lam = family.step(lam, measured, eta)
+            step = eta * gnorm  # the argmin step's length (see norms)
         except Exception as err:
             raise RuntimeError(f"solver failed at iteration {t}: {err}") from err
         # one row, in TRACE_COLUMNS order

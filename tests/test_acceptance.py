@@ -15,7 +15,7 @@ from scipy.linalg import expm
 from entrodual.datasets import gen_er_maxcut, gen_permsynch, PermSynchModel, \
     sinkhorn_reference
 from entrodual.experiments import ExperimentSpec, run_experiment
-from entrodual.norms import PAIR, dual_norm, primal_norm, step_pair
+from entrodual.norms import dual_norm, primal_norm
 from entrodual.operators import SymOperator, dense_gibbs, expm_action, \
     spectral_bounds
 from entrodual.probes import draw_probes, probe_gibbs
@@ -287,6 +287,7 @@ def test_c8_step_identities():
         return max(e1, e2)
 
     mc = gen_er_maxcut(9, p=0.5, seed=0, beta=3.0)
+    ot = OTProblem(np.zeros((5, 7)), np.full(5, 1 / 5), np.full(7, 1 / 7), 3.0)
     ps = gen_permsynch(PermSynchModel(3, 3, 5, 0.2, seed=0), 2.0, "strong")
     wk = gen_permsynch(PermSynchModel(4, 3, 5, 0.2, seed=0), 2.0, "weak")
     worst = {"linf": 0.0, "pair-ot": 0.0, "block": 0.0, "pair-weak": 0.0}
@@ -298,16 +299,13 @@ def test_c8_step_identities():
         g = rng.standard_normal(9)
         worst["linf"] = max(worst["linf"],
                             check(mc.norm_family(), lam, g,
-                                  eta, mc.update(lam, g, eta)))
+                                  eta, mc.norm_family().step(lam, g, eta)))
 
-        # the transport update composes this step with a gauge fix (centering)
-        # that leaves the objective and gradient unchanged; the identity
-        # belongs to the step itself
         lam = (rng.standard_normal(5), rng.standard_normal(7))
         g = (rng.standard_normal(5), rng.standard_normal(7))
         worst["pair-ot"] = max(worst["pair-ot"],
-                               check(PAIR, lam, g, eta,
-                                     step_pair(lam, g, eta)))
+                               check(ot.norm_family(), lam, g,
+                                     eta, ot.norm_family().step(lam, g, eta)))
 
         lam = rng.standard_normal((3, 3, 3))
         lam = (lam + lam.transpose(0, 2, 1)) / 2
@@ -315,13 +313,13 @@ def test_c8_step_identities():
         g = (g + g.transpose(0, 2, 1)) / 2
         worst["block"] = max(worst["block"],
                              check(ps.norm_family(), lam, g,
-                                   eta, ps.update(lam, g, eta)))
+                                   eta, ps.norm_family().step(lam, g, eta)))
 
         lam = (rng.standard_normal(12), rng.standard_normal(4))
         g = (rng.standard_normal(12), rng.standard_normal(4))
         worst["pair-weak"] = max(worst["pair-weak"],
                                  check(wk.norm_family(), lam, g,
-                                       eta, wk.update(lam, g, eta)))
+                                       eta, wk.norm_family().step(lam, g, eta)))
     passed = max(worst.values()) <= 1e-10
     report("C8", "step-identities", passed,
            "1000 draws per rule, worst |deviation|: "

@@ -212,7 +212,7 @@ class TestSolveCommand:
                     "--samples", 8, "--out", out]) == 0
 
     @pytest.mark.parametrize("kind, value", [("maxcut", np.nan), ("maxcut", np.inf),
-                                             ("ps-weak", np.nan)])
+                                             ("ps-weak", np.nan), ("ps-strong", np.nan)])
     def test_non_finite_cost_exits_two_naming_the_cost(self, tmp_path, capsys,
                                                        kind, value):
         d = tmp_path / "p"
@@ -224,7 +224,27 @@ class TestSolveCommand:
         scipy.io.mmwrite(d / "cost.mtx", cost.tocsr(), symmetry="symmetric")
         code = run(["solve", kind, "--problem", d, "--iters", 2, "--out", tmp_path / "r"])
         assert code == 2
-        assert "cost must be finite" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        # the message names the file at fault, not the sound meta.json
+        assert f"{d / 'cost.mtx'}: matrix must be finite; 1 of its entries are not" in err
+        assert "meta.json" not in err
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("kind", ["maxcut", "ps-weak", "ps-strong"])
+    def test_asymmetric_cost_exits_two_naming_the_file(self, tmp_path, capsys, kind):
+        d = tmp_path / "p"
+        args = (["--n", 6] if kind == "maxcut" else
+                ["--num-images", 3, "--keypoints", 2, "--registry", 4])
+        run(["gen", kind, *args, "--out", d])
+        cost = load_problem(d).cost.to_dense()
+        cost[0, 1] += 1.0
+        scipy.io.mmwrite(d / "cost.mtx", cost)  # general format keeps both triangles
+        code = run(["solve", kind, "--problem", d, "--iters", 2, "--out", tmp_path / "r"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{d / 'cost.mtx'}: input matrix is not symmetric" in err
+        assert "meta.json" not in err
+        assert not (tmp_path / "r").exists()
 
     def test_stochastic_run_records_samples(self, tmp_path):
         d = tmp_path / "mc"

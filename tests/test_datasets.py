@@ -159,6 +159,16 @@ class TestErMaxCut:
 
 
 class TestSyntheticOT:
+    @pytest.mark.parametrize("k", [2.5, np.float64(3.0), True],
+                             ids=["float", "numpy-float", "bool"])
+    def test_non_integer_side_rejected(self, k):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            gen_synthetic_ot(k)
+
+    def test_numpy_integer_side_accepted(self):
+        a, b = gen_synthetic_ot(np.int64(3), seed=2), gen_synthetic_ot(3, seed=2)
+        assert a.digest == b.digest
+
     def test_shapes_and_normalization(self):
         p = gen_synthetic_ot(6, seed=0)
         assert isinstance(p, OTProblem)
@@ -203,6 +213,17 @@ def write_idx(path, images):
 
 
 class TestMnistPair:
+    @pytest.mark.parametrize("k, match", [(2.5, "k must be an integer"),
+                                          (np.float64(3.0), "k must be an integer"),
+                                          (True, "k must be an integer"),
+                                          (0, "side at least 1")],
+                             ids=["float", "numpy-float", "bool", "zero"])
+    def test_bad_side_rejected(self, tmp_path, k, match):
+        f = tmp_path / "imgs.idx"
+        write_idx(f, np.zeros((2, 6, 6)))
+        with pytest.raises(ValueError, match=match):
+            load_mnist_pair(f, k)
+
     def test_identity_pooling_and_offset(self, tmp_path):
         rng = np.random.default_rng(0)
         imgs = rng.integers(0, 256, (3, 6, 6))

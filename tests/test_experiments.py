@@ -146,6 +146,15 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             self.spec(tmp_path, replicates=0)
 
+    @pytest.mark.parametrize("count", [2.5, True, np.float64(2.0), "2"],
+                             ids=["float", "bool", "numpy-float", "str"])
+    def test_non_integer_replicate_count_rejected_before_any_output(self, tmp_path, count):
+        # the count is checked when the spec is built, before any output
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match="replicates must be an integer"):
+            self.spec(tmp_path, out_dir=str(out), replicates=count)
+        assert not out.exists()
+
 
 class TestAveragingPrefix:
     def test_uneven_lengths_truncate_to_common_prefix(self, tmp_path):

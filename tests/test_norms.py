@@ -258,5 +258,13 @@ class TestMatrixSign:
         # the sup-norm family's step is the one its problem takes
         p = MaxCutProblem(SymOperator.zeros(4), np.full(4, 0.25), 1.0)
         assert p.norm_family() == LINF
-        np.testing.assert_allclose(p.update(np.zeros(4), g, 0.2),
-                                   step_linf(np.zeros(4), g, 0.2))
+        np.testing.assert_array_equal(p.norm_family().step(np.zeros(4), g, 0.2),
+                                      step_linf(np.zeros(4), g, 0.2))
+        # each geometry's step is its module-level step
+        pair = (rng.standard_normal(3), rng.standard_normal(5))
+        gp = (rng.standard_normal(3), rng.standard_normal(5))
+        for got, want in zip(PAIR.step(pair, gp, 0.3), step_pair(pair, gp, 0.3)):
+            np.testing.assert_array_equal(got, want)
+        lam, gb = sym_stack(rng, 2, 3), sym_stack(rng, 2, 3)
+        np.testing.assert_array_equal(BLOCK_SPECTRAL.step(lam, gb, 0.3),
+                                      step_block(lam, gb, 0.3))

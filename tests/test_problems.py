@@ -123,6 +123,22 @@ class TestOTGradient:
                   - p.dense_eval((phi, psi - e))[1]) / (2 * h)
             assert abs(fd - gq[j]) <= 1e-6
 
+    @pytest.mark.parametrize("beta", [1.0, 10.0, 1e3])
+    @pytest.mark.parametrize("signs", [(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0)])
+    def test_constant_shifts_of_the_potentials_leave_the_evaluation(self, beta, signs):
+        # the gauge: f and its gradient are invariant under phi + c1, psi + c2,
+        # so the solver never centres the potentials; shifts up to 1e3 / beta
+        rng = np.random.default_rng([8, int(beta)])
+        p = random_ot(rng, 6, 9, beta=beta)
+        duals = (rng.standard_normal(6) / beta, rng.standard_normal(9) / beta)
+        (gp, gq), f = p.dense_eval(duals)
+        for scale in (1e-3, 1.0, 1e3):
+            c1, c2 = (s * scale * rng.uniform(0.5, 1.0) / beta for s in signs)
+            (hp, hq), fs = p.dense_eval((duals[0] + c1, duals[1] + c2))
+            assert np.abs(hp - gp).max() <= 1e-12 * np.abs(gp).max()
+            assert np.abs(hq - gq).max() <= 1e-12 * np.abs(gq).max()
+            assert abs(fs - f) <= 1e-12 * abs(f)
+
     def test_extreme_beta_stable(self):
         # stabilization keeps the plan finite at huge beta and large potentials
         rng = np.random.default_rng(1)
@@ -496,30 +512,31 @@ class TestSDPStochasticGradient:
 
 
 class TestUpdateAndFeasibility:
-    def test_ot_update_centers(self):
-        rng = np.random.default_rng(11)
-        p = random_ot(rng, 4, 5)
-        duals = (rng.standard_normal(4), rng.standard_normal(5))
-        grad = p.dense_eval(duals)[0]
-        phi, psi = p.update(duals, grad, eta=0.3)
-        assert abs(phi.sum()) <= 1e-12 and abs(psi.sum()) <= 1e-12
-
     def test_zero_gradient_fixpoint(self):
+        # the transport step is the plain pair step: no centring moves the
+        # potentials when the gradient vanishes
         rng = np.random.default_rng(12)
         p = random_ot(rng, 3, 3)
         duals = (rng.standard_normal(3), rng.standard_normal(3))
-        duals = (duals[0] - duals[0].mean(), duals[1] - duals[1].mean())
-        out = p.update(duals, (np.zeros(3), np.zeros(3)), eta=0.5)
-        np.testing.assert_allclose(out[0], duals[0], atol=1e-14)
-        np.testing.assert_allclose(out[1], duals[1], atol=1e-14)
+        out = p.norm_family().step(duals, (np.zeros(3), np.zeros(3)), eta=0.5)
+        np.testing.assert_array_equal(out[0], duals[0])
+        np.testing.assert_array_equal(out[1], duals[1])
 
     def test_maxcut_delegates_to_step_linf(self):
         from entrodual.norms import step_linf
         rng = np.random.default_rng(13)
         p = random_maxcut(rng, 6)
         lam, g = rng.standard_normal(6), rng.standard_normal(6)
-        np.testing.assert_array_equal(p.update(lam, g, 0.2),
+        np.testing.assert_array_equal(p.norm_family().step(lam, g, 0.2),
                                       step_linf(lam, g, 0.2))
+
+    def test_no_problem_defines_a_step_of_its_own(self):
+        # the geometry moves every dual point; the SDPs whose metric is the
+        # dual norm read it from the shared base
+        for cls in (MaxCutProblem, OTProblem, StrongPermSyncProblem, WeakPermSyncProblem):
+            assert not hasattr(cls, "update")
+        for cls in (MaxCutProblem, StrongPermSyncProblem):
+            assert "feasibility_error" not in vars(cls)
 
     def test_feasible_state_zero(self):
         p = random_maxcut(np.random.default_rng(14), 4)
