@@ -11,7 +11,10 @@ each at beta = 10 log(n)/n, n = N K; strong pins every diagonal block
 (registry max(K, ceil(N/2))), weak only the diagonal and the block mass
 (registry K). Every solve draws problem.default_sample_count() probes.
 
-Each run writes per-replicate traces, an averaged curve and a JSON summary.
+Each run writes per-replicate traces, an averaged curve and a JSON summary,
+and prints the process's peak resident set size after it (peak_rss_mb of the
+summary): a running maximum over the whole process, so with several sizes
+each line reads the largest size run so far when sizes ascend.
 Every family records the dual objective: exact on transport, and on the
 stochastic SDP solves the Hutchinson estimate from each iteration's probes.
 """
@@ -114,6 +117,7 @@ def main(argv=None) -> None:
     for label, spec in args.specs(args):
         summary = run_experiment(spec)
         print(f"{label}  replicates ok {summary['succeeded']}/{spec.replicates}  "
+              f"peak RSS {summary['peak_rss_mb']:.1f} MB  "
               f"avg -> {summary.get('averaged_csv', 'none')}")
 
 

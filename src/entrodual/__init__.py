@@ -13,6 +13,7 @@ from entrodual.datasets import (
 from entrodual.experiments import ExperimentSpec, build_problem, run_experiment
 from entrodual.norms import BLOCK_SPECTRAL, LINF, PAIR, dual_norm, primal_norm
 from entrodual.operators import (
+    PackedSigns,
     ProbeBatch,
     SpectralInterval,
     SymOperator,
@@ -54,6 +55,7 @@ __all__ = [
     "MaxCutProblem",
     "OTProblem",
     "PAIR",
+    "PackedSigns",
     "PermSynchModel",
     "ProbeBatch",
     "RoundedPrimal",

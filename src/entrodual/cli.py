@@ -57,6 +57,27 @@ def write_problem(problem, out_dir) -> Path:
     return out
 
 
+def _read_dense(path) -> np.ndarray:
+    m = scipy.io.mmread(path)
+    return m.toarray() if hasattr(m, "toarray") else m
+
+
+def _read_vector(path) -> np.ndarray:
+    return np.loadtxt(path, ndmin=1)
+
+
+def _read_finite(path: Path, read) -> np.ndarray:
+    """read(path) as a float array; a parse error or a non-finite entry
+    raises ValueError naming the file."""
+    try:
+        values = np.asarray(read(path), dtype=float)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
+    if bad := int(np.count_nonzero(~np.isfinite(values))):
+        raise ValueError(f"{path}: values must be finite; {bad} of its entries are not")
+    return values
+
+
 def load_problem(path, beta: float | None = None):
     p = Path(path)
     meta_path = p / "meta.json"
@@ -71,15 +92,13 @@ def load_problem(path, beta: float | None = None):
     except (TypeError, ValueError) as err:
         raise ValueError(f"{meta_path}: {err}") from None
     if kind == "ot":
-        cost = scipy.io.mmread(p / "cost.mtx")
-        if hasattr(cost, "toarray"):
-            cost = cost.toarray()
-        mu = np.loadtxt(p / "mu.txt", ndmin=1)
-        nu = np.loadtxt(p / "nu.txt", ndmin=1)
-        return OTProblem(np.asarray(cost, dtype=float), mu, nu, beta)
+        cost = _read_finite(p / "cost.mtx", _read_dense)
+        mu = _read_finite(p / "mu.txt", _read_vector)
+        nu = _read_finite(p / "nu.txt", _read_vector)
+        return OTProblem(cost, mu, nu, beta)
     cost = load_matrix_market(p / "cost.mtx")
     if kind == "maxcut":
-        return MaxCutProblem(cost, np.loadtxt(p / "b.txt", ndmin=1), beta)
+        return MaxCutProblem(cost, _read_finite(p / "b.txt", _read_vector), beta)
     if kind in ("ps-strong", "ps-weak"):
         sync = StrongPermSyncProblem if kind == "ps-strong" else WeakPermSyncProblem
         try:
@@ -205,10 +224,21 @@ def _cmd_certify(args) -> int:
 
 # ---- parser ----------------------------------------------------------------
 
+def _seed(text: str) -> int:
+    """A --seed value: a nonnegative integer, refused before anything runs."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
+    return value
+
+
 def _add_gen_flags(p, *, beta_default=10.0):
     p.add_argument("--beta", type=float, default=beta_default,
                    help="inverse temperature baked into the instance")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True, help="problem directory to write")
 
 
@@ -221,7 +251,7 @@ def _add_solver_flags(p):
     p.add_argument("--iters", type=int, default=100)
     p.add_argument("--samples", type=int, default=None,
                    help="probe vectors per iteration on the stochastic path")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True, help="directory for trace files")
     p.add_argument("--dense-oracle", action="store_true",
                    help="use exact dense gradients instead of probes")

@@ -9,6 +9,7 @@ curves are taken over the common iteration prefix of the successful runs.
 
 from __future__ import annotations
 
+import resource
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -71,9 +72,12 @@ def run_experiment(spec: ExperimentSpec) -> dict:
     """Run all replicates, write their traces, and write the averaged curve.
 
     Returns a summary dict mirroring the summary JSON: per-replicate status
-    (with error strings for failures), output paths, and the averaged row
-    count. The averaged file is only written when at least one replicate
-    succeeded.
+    (with error strings for failures), output paths, the averaged row count,
+    and peak_rss_mb, the process's peak resident set size in MB (Linux
+    ru_maxrss) once the replicates are done. That is the process's running
+    maximum, so it covers everything the process ran before, not this
+    experiment alone. The averaged file is only written when at least one
+    replicate succeeded.
     """
     out = Path(spec.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -105,6 +109,7 @@ def run_experiment(spec: ExperimentSpec) -> dict:
         "replicate_count": spec.replicates,
         "replicates": replicates,
         "succeeded": len(traces),
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
     }
     if traces:
         avg_path = out / f"{spec.name}_avg.csv"

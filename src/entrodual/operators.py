@@ -10,8 +10,10 @@ probes.probe_gibbs for the error of each precision). A wide probe block runs
 through the recurrence in column blocks of 1 MiB per array, as many as a
 multiple of the thread count, one thread per usable core; each column is
 computed on its own, so within one precision the result equals a
-single-block evaluation bit for bit. ProbeBatch is the one Gibbs-state
-type: dense_gibbs gives the exact one, probes.probe_gibbs an estimate."""
+single-block evaluation bit for bit. expm_action takes a dense block or
+PackedSigns, Rademacher signs at one bit each, which each column block
+unpacks into its own buffer. ProbeBatch is the one Gibbs-state type:
+dense_gibbs gives the exact one, probes.probe_gibbs an estimate."""
 
 from __future__ import annotations
 
@@ -33,6 +35,7 @@ __all__ = [
     "SymOperator",
     "SpectralInterval",
     "ProbeBatch",
+    "PackedSigns",
     "spectral_bounds",
     "expm_action",
     "dense_gibbs",
@@ -363,17 +366,21 @@ def _clenshaw(double: SymOperator, q: np.ndarray, z: np.ndarray, b1: np.ndarray,
     return double.apply(b1, into=b2)
 
 
-def _clenshaw_lane(double: SymOperator, q: np.ndarray, factor: float, z: np.ndarray,
+def _clenshaw_lane(double: SymOperator, q: np.ndarray, factor: float, z,
                    out: np.ndarray, blocks, buffers) -> None:
     """Write factor times _clenshaw of each column block of z taken from the
     shared iterator blocks into those columns of out, using the three flat
-    buffers (z block, b1, b2); out and the buffers have z's dtype, and nothing
-    of block size is allocated."""
+    buffers (z block, b1, b2); out and the buffers have z's dtype. A dense z
+    is copied into the z block, packed signs are unpacked into it, and
+    nothing of block size is allocated but the signs' n x width bytes."""
     n = z.shape[0]
     for cols in blocks:
         zb, b1, b2 = (buf[: n * (cols.stop - cols.start)].reshape(n, -1)
                       for buf in buffers)
-        np.copyto(zb, z[:, cols])
+        if isinstance(z, PackedSigns):
+            z.unpack(cols, zb)
+        else:
+            np.copyto(zb, z[:, cols])
         np.multiply(_clenshaw(double, q, zb, b1, b2), factor, out=out[:, cols])
 
 
@@ -410,6 +417,47 @@ def _column_blocks(n: int, s: int, itemsize: int) -> list:
     return [slice(s * j // count, s * (j + 1) // count) for j in range(count)]
 
 
+class PackedSigns:
+    """n x S block of Rademacher signs held as bits, one per sign.
+
+    words is an S x m array of 64-bit words, m = ceil(n / 64). Column s is
+    the first n bits of words[s], little-endian (np.unpackbits with
+    bitorder="little", count=n): a set bit is +1, a clear one -1. The block
+    reports the shape, size, ndim and dtype of the dense block it stands
+    for; astype gives the same words in another precision, np.asarray the
+    dense block, and expm_action unpacks each column block into its own
+    buffer, so no n x S array of signs is formed.
+    """
+
+    ndim = 2
+
+    def __init__(self, words: np.ndarray, n: int, dtype=np.float64):
+        words = np.asarray(words, dtype="<u8")
+        if n < 1 or words.ndim != 2 or words.shape[0] < 1 or words.shape[1] != -(-n // 64):
+            raise ValueError(f"need S x ceil(n / 64) words for n = {n}, got shape "
+                             f"{words.shape}")
+        self.words, self.dtype = words, np.dtype(dtype)
+        self.shape = (n, words.shape[0])
+        self.size = n * words.shape[0]
+
+    def astype(self, dtype, copy: bool = True) -> "PackedSigns":
+        """The same signs in dtype; the words are shared, never copied."""
+        return PackedSigns(self.words, self.shape[0], dtype)
+
+    def unpack(self, cols: slice, out: np.ndarray) -> np.ndarray:
+        """Write the signs of columns cols into out, an n x width array."""
+        bits = np.unpackbits(self.words[cols].view(np.uint8).T, axis=0,
+                             count=self.shape[0], bitorder="little")
+        np.multiply(bits, 2, out=out)
+        out -= 1
+        return out
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        if copy is False:
+            raise ValueError("packed signs become an array only by unpacking")
+        return self.unpack(slice(None), np.empty(self.shape, dtype or self.dtype))
+
+
 def expm_action(op: SymOperator, interval: SpectralInterval, z: np.ndarray,
                 tol: float = 1e-10, *, scale: float = 1.0,
                 shift: float = 0.0, work: Optional[dict] = None) -> np.ndarray:
@@ -434,16 +482,19 @@ def expm_action(op: SymOperator, interval: SpectralInterval, z: np.ndarray,
     A z wider than 1 MiB per array runs the whole recurrence in equal column
     blocks of about that size, so they stay in a core's cache, as many as a
     multiple of the lanes, one thread per usable core. Narrower input runs as
-    one block in the calling thread. Each block copies its columns from any
-    strided z, and each column is computed on its own, so every column
-    equals, bit for bit, that column evaluated alone.
+    one block in the calling thread. z is an array or PackedSigns. Each block
+    copies its columns from any strided z, or unpacks them from packed signs,
+    into its own buffer, and each column is computed on its own, so every
+    column equals, bit for bit, that column evaluated alone, and packed signs
+    give the result of the dense block they stand for.
 
     With a work dict, the result and the block buffers are kept there (see
     reused) for the next call with it, which overwrites the result.
     """
     if not 0.0 < tol < 1.0:
         raise ValueError("tol must lie in (0, 1)")
-    z = np.asarray(z)
+    if not isinstance(z, PackedSigns):
+        z = np.asarray(z)
     z = z.astype(np.float32 if z.dtype == np.float32 else np.float64, copy=False)
     lo, hi = sorted((scale * interval.lo + shift, scale * interval.hi + shift))
     if not (np.isfinite(lo) and np.isfinite(hi)):
@@ -451,22 +502,23 @@ def expm_action(op: SymOperator, interval: SpectralInterval, z: np.ndarray,
     c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
     out = reused(work, "expm_action", z.shape, z.dtype)
     if h <= 1e-14 * max(1.0, abs(c)):
-        return np.multiply(z, np.exp(c), out=out)
+        return np.multiply(np.asarray(z), np.exp(c), out=out)
     q = _chebyshev_degree(h, tol, z.dtype).astype(z.dtype)
     # twice the affine map (scale * op + (shift - c) I) / h, folded once, in z's dtype
     double = SymOperator(op.folded(2.0 * scale / h, 2.0 * (shift - c) / h).base
                          .astype(z.dtype, copy=False))
     factor = 0.5 * np.exp(c + h)
     n, s = z.shape[0], (z.shape[1] if z.ndim == 2 else 1)
-    blocks = _column_blocks(n, s, z.itemsize)
+    blocks = _column_blocks(n, s, z.dtype.itemsize)
     width = -(-s // len(blocks))  # the widest block
     # next() on a list iterator is one atomic step under the GIL, so the lanes
-    # share it without a lock; every buffer is allocated here, in the calling
-    # thread, since per-thread malloc arenas would raise the peak footprint
+    # share it without a lock; every block buffer is allocated here, in the
+    # calling thread, since per-thread malloc arenas would raise the peak
+    # footprint, and only unpacked sign bits (one byte per entry) in a lane
     shared = iter(blocks)
-    lanes = [(double, q, factor, z.reshape(n, s), out.reshape(n, s), shared,
-              [reused(work, ("expm_action", lane, j), (n * width,), z.dtype)
-               for j in range(3)])
+    lanes = [(double, q, factor, z if z.ndim == 2 else z[:, None], out.reshape(n, s),
+              shared, [reused(work, ("expm_action", lane, j), (n * width,), z.dtype)
+                       for j in range(3)])
              for lane in range(min(_LANES, len(blocks)))]
     if len(lanes) == 1:
         _clenshaw_lane(*lanes[0])

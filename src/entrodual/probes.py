@@ -1,8 +1,11 @@
 """Rademacher trace probes of Gibbs states.
 
-A ProbeBatch (from operators) holds a factor W of a Gibbs state, read as
-X = W W^T / mass: w_s = exp(-(beta/2) M) z_s for Rademacher z_s, or the exact
-factor of dense_gibbs. Each SDP problem reads every functional its gradient
+draw_probes returns its probes as PackedSigns, one bit per sign, and
+probe_gibbs hands them to expm_action as they are: each column block is
+unpacked into the recurrence's own buffer, so no n x S block of signs is
+formed. A ProbeBatch (from operators) holds a factor W of a Gibbs state,
+read as X = W W^T / mass: w_s = exp(-(beta/2) M) z_s for Rademacher z_s, or
+the exact factor of dense_gibbs. Each SDP problem reads every functional its gradient
 needs straight from W in its stochastic_gradient; each is a ratio of
 quadratic forms in the columns, so a common positive factor, such as the
 spectral shift inside the exponential, cancels. log(mass) + log_norm is a
@@ -17,54 +20,39 @@ from typing import Optional
 import numpy as np
 from numpy.random import Philox
 
-from entrodual.operators import (ProbeBatch, SpectralInterval, SymOperator, expm_action,
-                                 reused)
+from entrodual.operators import (PackedSigns, ProbeBatch, SpectralInterval, SymOperator,
+                                 expm_action)
 
-__all__ = ["ProbeBatch", "draw_probes", "probe_gibbs"]
-
-_MASK64 = (1 << 64) - 1
+__all__ = ["PackedSigns", "ProbeBatch", "draw_probes", "probe_gibbs"]
 
 
 def draw_probes(n: int, num_samples: int, seed: int, iteration: int,
-                dtype=np.float64, work: Optional[dict] = None) -> np.ndarray:
-    """n x S array of i.i.d. Rademacher probes, reproducible per column.
+                dtype=np.float64) -> PackedSigns:
+    """n x S block of i.i.d. Rademacher probes, one bit per sign.
 
-    Column s is generated from a Philox stream whose 256-bit counter starts at
-    (0, 0, iteration, s), with the key set from seed. Putting the column and
-    iteration indices in the high words keeps per-column streams disjoint, so
-    the same (seed, iteration, s) always yields the same column regardless of
-    how many columns are requested. The column equals
-    Generator(Philox(key, counter)).integers(0, 2, n) mapped to signs: entry i
-    is the top bit of the low (even i) or high (odd i) half of raw word i // 2.
-    The signs are written over the words as float32; a float32 draw is a
-    transposed view of them (4 n S bytes), any other dtype a cast of it. With
-    a work dict the words are kept there (see operators.reused), and the next
-    draw with it overwrites them.
+    One Philox.random_raw call, keyed by seed, draws S m raw words, m =
+    ceil(n / 64), from the 256-bit counter (0, 0, iteration, 0). Column s is
+    words [s m, (s + 1) m) unpacked little-endian, a set bit +1 (see
+    PackedSigns), so it depends only on (seed, iteration, s) and not on how
+    many columns are drawn; the iteration sits in a high counter word, so
+    the streams of different iterations are disjoint. The block holds the
+    8 S m bytes of words; dtype is the precision it reports and unpacks to.
     """
     if num_samples < 1:
         raise ValueError("need at least one probe column")
     if n < 1:
         raise ValueError("dimension must be positive")
-    bg = Philox(key=int(seed) & ((1 << 128) - 1))
-    state = bg.state
-    counter = np.zeros(4, dtype=np.uint64)
-    counter[2] = int(iteration) & _MASK64
-    words = reused(work, "draw_probes", (num_samples, (n + 1) // 2), np.dtype("<u8"))
-    # the fresh state's output buffer is empty, so each column starts at its counter
-    for s in range(num_samples):
-        counter[3] = s
-        state["state"]["counter"] = counter
-        bg.state = state
-        words[s] = bg.random_raw(words.shape[1])
-    # keep each half's top bit, then xor in -1.0f: a set bit gives +1.0f
-    half = words.view("<u4")
-    half &= 0x80000000
-    half ^= 0xBF800000
-    return half.view("<f4")[:, :n].T.astype(dtype, copy=False)
+    if not 0 <= seed < 2**128:
+        raise ValueError(f"seed must lie in [0, 2**128), got {seed}")
+    if not 0 <= iteration < 2**64:
+        raise ValueError(f"iteration must lie in [0, 2**64), got {iteration}")
+    m = -(-n // 64)
+    bg = Philox(key=int(seed), counter=np.array([0, 0, iteration, 0], dtype=np.uint64))
+    return PackedSigns(bg.random_raw(num_samples * m).reshape(num_samples, m), n, dtype)
 
 
 def probe_gibbs(op: SymOperator, beta: float, interval: SpectralInterval,
-                probes: np.ndarray, tol: float = 1e-8,
+                probes, tol: float = 1e-8,
                 work: Optional[dict] = None) -> ProbeBatch:
     """Apply exp(-(beta/2) op) to the probe columns, with overflow-safe shifting.
 
@@ -89,7 +77,7 @@ def probe_gibbs(op: SymOperator, beta: float, interval: SpectralInterval,
     """
     if not 0.0 < beta < np.inf:
         raise ValueError("beta must be positive and finite")
-    z = np.asarray(probes)
+    z = probes if isinstance(probes, PackedSigns) else np.asarray(probes)
     if z.ndim == 1:
         z = z[:, None]
     half = 0.5 * beta

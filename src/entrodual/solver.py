@@ -12,11 +12,13 @@ run, so the probe images stay O(||z||) at any beta. An uncertified
 interval, or a batch whose images grew (which a lower end at or below the
 smallest eigenvalue rules out), is redone on the Gershgorin interval. Batches
 run in float32, and _probe_batch says when one is redone in float64 or
-refused. A run holds one probe block: every iteration draws its probes and
-writes its images into the same buffers, and a batch is released once it is
-evaluated. TRACE_COLUMNS is the one trace.csv schema: the writer, the reader,
-solve() and the averaged experiment curves walk it; the record grows with the
-iterations run, not those requested. write_json writes every JSON file.
+refused. Every iteration draws its probes as packed bits, one per sign,
+which the Chebyshev lanes unpack one column block at a time, so no n x S
+block of signs is formed; its images go into the same buffers each
+iteration, and a batch is released once it is evaluated. TRACE_COLUMNS is
+the one trace.csv schema: the writer, the reader, solve() and the averaged
+experiment curves walk it; the record grows with the iterations run, not
+those requested. write_json writes every JSON file.
 """
 
 from __future__ import annotations
@@ -95,6 +97,8 @@ class SolverConfig:
     def __post_init__(self):
         check_count("iters", self.iters)
         check_count("seed", self.seed)
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.samples is not None:
             check_count("samples", self.samples)
         if not isinstance(self.dense_oracle, bool):
@@ -263,7 +267,7 @@ _FLOAT32_FLOOR = (float(np.finfo(np.float32).eps) / 1e-4) ** 2  # about 1.4e-6
 _FLOAT64_FLOOR = 1e-14
 
 
-def _probe_batch(op, beta: float, z: np.ndarray, seed: int, work: dict):
+def _probe_batch(op, beta: float, z, seed: int, work: dict):
     """Probe images of exp(-(beta/2) op) on a tight interval, checked.
 
     The exponent is shifted by the interval's lower end, so when that end is
@@ -327,7 +331,7 @@ def solve(problem, config: SolverConfig,
 
     # the float columns after iter, grown one row per iteration actually run
     record = {field: array.array("d") for _, field, _, _ in TRACE_COLUMNS[1:]}
-    work = {}  # every iteration's probe block buffers, allocated once
+    work = {}  # every iteration's image and column-block buffers, allocated once
     best_t, best_lam, best_g = -1, None, np.inf
     stopped = False
 
@@ -341,7 +345,7 @@ def solve(problem, config: SolverConfig,
                 grad, objective = problem.evaluate(lam, _probe_batch(
                     problem.shifted_operator(lam), problem.beta,
                     draw_probes(problem.dimension, config.samples, config.seed, t,
-                                np.float32, work=work),
+                                np.float32),
                     config.seed, work))
             # the form the metrics and the step read: a block stack is
             # decomposed here, once per iteration

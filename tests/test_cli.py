@@ -118,6 +118,34 @@ class TestProblemDirs:
         run(["gen", "maxcut", "--n", 6, "--beta", 3, "--out", d])
         assert load_problem(d, beta=9.0).beta == 9.0
 
+    @pytest.mark.parametrize("kind, name, text, want", [
+        ("ot", "cost.mtx", None, "values must be finite; 1 of its entries are not"),
+        ("ot", "mu.txt", "nan", "values must be finite; 1 of its entries are not"),
+        ("ot", "nu.txt", "nan", "values must be finite; 1 of its entries are not"),
+        ("maxcut", "b.txt", "nan", "values must be finite; 1 of its entries are not"),
+        ("maxcut", "b.txt", "abc", "could not convert string 'abc'"),
+    ], ids=["ot-cost", "ot-mu", "ot-nu", "maxcut-b-nan", "maxcut-b-text"])
+    def test_bad_entry_names_its_file(self, tmp_path, kind, name, text, want):
+        # each once raised "cost and marginals must be finite", "b must be
+        # strictly positive" or numpy's parse message, naming no file
+        d = tmp_path / "p"
+        if kind == "ot":
+            write_problem(gen_synthetic_ot(3, seed=0), d)
+        else:
+            write_problem(gen_er_maxcut(6, seed=0), d)
+        path = d / name
+        if text is None:
+            cost = scipy.io.mmread(path)
+            cost[0, 1] = np.nan
+            scipy.io.mmwrite(path, cost)
+        else:
+            lines = path.read_text().splitlines()
+            lines[1] = text
+            path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as err:
+            load_problem(d)
+        assert str(err.value).startswith(f"{path}: ") and want in str(err.value)
+
     def test_unknown_kind_rejected(self, tmp_path):
         d = tmp_path / "mc"
         run(["gen", "maxcut", "--n", 6, "--out", d])
@@ -245,6 +273,23 @@ class TestSolveCommand:
         assert f"{d / 'cost.mtx'}: input matrix is not symmetric" in err
         assert "meta.json" not in err
         assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("command", ["gen", "solve"])
+    def test_negative_seed_exits_two_naming_the_flag(self, tmp_path, capsys, command):
+        # a negative seed once reached numpy and failed as "expected
+        # non-negative integer", naming no flag
+        d, out = tmp_path / "mc", tmp_path / "out"
+        if command == "solve":
+            run(["gen", "maxcut", "--n", 6, "--out", d])
+            argv = ["solve", "maxcut", "--problem", d, "--iters", 2, "--seed", -1,
+                    "--out", out]
+        else:
+            argv, out = ["gen", "maxcut", "--n", 6, "--seed", -1, "--out", d], d
+        with pytest.raises(SystemExit) as exit_info:
+            run(argv)
+        assert exit_info.value.code == 2
+        assert "argument --seed: must be a nonnegative integer, got '-1'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_stochastic_run_records_samples(self, tmp_path):
         d = tmp_path / "mc"

@@ -2,10 +2,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from numpy.random import Generator, Philox
+from numpy.random import Philox
 
-from entrodual import SpectralInterval, SymOperator, dense_gibbs, spectral_bounds
-from entrodual.probes import ProbeBatch, draw_probes, probe_gibbs
+from entrodual import (SpectralInterval, SymOperator, dense_gibbs, operators,
+                       spectral_bounds)
+from entrodual.probes import PackedSigns, ProbeBatch, draw_probes, probe_gibbs
 from entrodual.problems import (MaxCutProblem, StrongPermSyncProblem,
                                 WeakPermSyncProblem)
 
@@ -32,86 +33,101 @@ def ones_quadratics(batch, k):
     return p.stochastic_gradient(batch)[1] + 1.0 / batch.n
 
 
+def signs(n, num, seed, iteration, dtype=np.float64):
+    return np.asarray(draw_probes(n, num, seed, iteration, dtype))
+
+
+def philox_columns(n, num, seed, iteration):
+    """The contract: one random_raw call of num * ceil(n / 64) words from the
+    counter (0, 0, iteration, 0); column s is the +-1 image of the first n
+    little-endian bits of words [s m, (s + 1) m)."""
+    m = -(-n // 64)
+    bg = Philox(key=seed, counter=np.array([0, 0, iteration, 0], dtype=np.uint64))
+    words = bg.random_raw(num * m).reshape(num, m)
+    bits = np.unpackbits(words.view(np.uint8), axis=1, count=n, bitorder="little")
+    return 2.0 * bits.T - 1.0
+
+
 class TestDrawProbes:
     def test_single_entry_sign(self):
-        z = draw_probes(1, 1, seed=0, iteration=0)
+        z = signs(1, 1, seed=0, iteration=0)
         assert z[0, 0] in (-1.0, 1.0)
 
     def test_values_are_signs(self):
-        z = draw_probes(37, 11, seed=5, iteration=2)
+        z = signs(37, 11, seed=5, iteration=2)
         assert set(np.unique(z)) <= {-1.0, 1.0}
 
     def test_second_moment_is_identity(self):
-        z = draw_probes(8, 10_000, seed=1, iteration=0)
+        z = signs(8, 10_000, seed=1, iteration=0)
         emp = (z @ z.T) / z.shape[1]
         assert np.abs(emp - np.eye(8)).max() <= 0.05
 
     def test_deterministic(self):
-        a = draw_probes(20, 9, seed=42, iteration=7)
-        b = draw_probes(20, 9, seed=42, iteration=7)
+        a = signs(20, 9, seed=42, iteration=7)
+        b = signs(20, 9, seed=42, iteration=7)
         np.testing.assert_array_equal(a, b)
 
-    def test_columns_split_by_counter(self):
-        # column s must not depend on how many columns are drawn
-        wide = draw_probes(16, 9, seed=3, iteration=4)
-        narrow = draw_probes(16, 3, seed=3, iteration=4)
-        np.testing.assert_array_equal(wide[:, :3], narrow)
+    @pytest.mark.parametrize("n", [16, 64, 65, 200])
+    def test_column_does_not_depend_on_the_block_width(self, n):
+        wide = signs(n, 9, seed=3, iteration=4)
+        for narrow in (1, 3, 8):
+            np.testing.assert_array_equal(wide[:, :narrow], signs(n, narrow, 3, 4))
 
     def test_iterations_decorrelated(self):
-        a = draw_probes(64, 1, seed=0, iteration=0)
-        b = draw_probes(64, 1, seed=0, iteration=1)
+        a = signs(64, 1, seed=0, iteration=0)
+        b = signs(64, 1, seed=0, iteration=1)
         assert np.any(a != b)
 
     @pytest.mark.parametrize("n, num, seed, iteration", [
-        (1, 1, 0, 0), (2, 3, 1, 1), (37, 11, 5, 2), (400, 21, 2**100 + 7, 2**63),
+        (1, 1, 0, 0), (2, 3, 1, 1), (37, 11, 5, 2), (64, 4, 6, 0), (65, 4, 6, 0),
+        (400, 21, 2**100 + 7, 2**63), (1001, 7, 9, 3),
     ])
-    def test_column_is_numpy_philox_stream(self, n, num, seed, iteration):
-        # column s is Generator(Philox(key=seed, counter=(0, 0, iteration, s))).integers(0, 2, n)
-        z = draw_probes(n, num, seed=seed, iteration=iteration)
-        for s in range(num):
-            bg = Philox(key=seed, counter=[0, 0, iteration, s])
-            bits = Generator(bg).integers(0, 2, size=n)
-            np.testing.assert_array_equal(z[:, s], 2.0 * bits - 1.0)
+    def test_column_is_the_packed_philox_stream(self, n, num, seed, iteration):
+        expected = philox_columns(n, num, seed, iteration)
+        for dtype in (np.float64, np.float32):
+            z = draw_probes(n, num, seed, iteration, dtype)
+            assert z.shape == (n, num) and z.size == n * num and z.dtype == dtype
+            dense = np.asarray(z)
+            assert dense.dtype == dtype and dense.shape == (n, num)
+            np.testing.assert_array_equal(dense, expected)
 
-    @pytest.mark.parametrize("n, num, seed, iteration", [
-        (1, 1, 0, 0), (2, 3, 1, 1), (37, 11, 5, 2), (400, 21, 2**100 + 7, 2**63),
-        (1001, 7, 9, 3),
-    ])
-    def test_float32_draw_is_the_float64_draw(self, n, num, seed, iteration):
-        z = draw_probes(n, num, seed, iteration, np.float32)
-        assert z.dtype == np.float32 and z.shape == (n, num)
-        np.testing.assert_array_equal(z, draw_probes(n, num, seed, iteration))
-        # the Philox stream contract holds in float32 too
-        bits = Generator(Philox(key=seed, counter=[0, 0, iteration, num - 1])).integers(0, 2, n)
-        np.testing.assert_array_equal(z[:, -1], 2.0 * bits - 1.0)
-
-    def test_float32_draw_writes_the_signs_over_the_raw_words(self):
-        n, num = 3001, 64
+    def test_the_block_holds_one_bit_per_sign(self):
+        # a draw allocates its S ceil(n / 64) words, not the 4 n S bytes of a
+        # float32 block
+        n, num = 4000, 208
+        m = -(-n // 64)
         tracemalloc.start()
         try:
             z = draw_probes(n, num, seed=1, iteration=0, dtype=np.float32)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the words take 4 n S bytes (one pad entry per column at odd n); the
-        # float64 draw and a cast to float32 took over 8 n S
-        assert peak < 6 * n * num
-        assert np.all(np.abs(z) == 1.0)
+        assert z.words.nbytes == 8 * num * m
+        assert peak <= 2 * 8 * num * m
 
-    def test_work_keeps_the_words_for_the_next_draw(self):
-        work = {}
-        first = draw_probes(37, 11, 5, 2, np.float32, work=work)
-        words = work["draw_probes"]
-        assert np.shares_memory(first, words)
-        second = draw_probes(37, 11, 5, 3, np.float32, work=work)
-        assert work["draw_probes"] is words and np.shares_memory(second, words)
-        np.testing.assert_array_equal(second, draw_probes(37, 11, 5, 3))
+    def test_astype_shares_the_words(self):
+        z = draw_probes(37, 11, 5, 2, np.float32)
+        wide = z.astype(float)
+        assert wide.dtype == np.float64 and wide.words is z.words
+        np.testing.assert_array_equal(np.asarray(wide), np.asarray(z))
 
     def test_bad_args(self):
         with pytest.raises(ValueError):
             draw_probes(4, 0, seed=0, iteration=0)
         with pytest.raises(ValueError):
             draw_probes(0, 4, seed=0, iteration=0)
+        words = np.zeros((3, 2), dtype=np.uint64)
+        for n in (0, -5, 64, 129):  # two words hold 65 to 128 signs
+            with pytest.raises(ValueError, match="words for n"):
+                PackedSigns(words, n)
+
+    @pytest.mark.parametrize("field, args", [
+        ("seed", (-1, 0)), ("seed", (2**128, 0)), ("iteration", (0, -1)),
+        ("iteration", (0, 2**64)),
+    ])
+    def test_out_of_range_seed_or_iteration_names_the_field(self, field, args):
+        with pytest.raises(ValueError, match=f"^{field} must lie in"):
+            draw_probes(8, 2, *args)
 
 
 class TestProbeGibbs:
@@ -145,6 +161,26 @@ class TestProbeGibbs:
         est = diag_estimate(batch)
         exact = np.diag(dense_gibbs(op, beta).density)
         assert np.abs(est - exact).sum() <= 3.0 / np.sqrt(num)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("lanes", [False, True], ids=["inline", "lanes"])
+    def test_packed_signs_give_the_dense_block_images(self, monkeypatch, dtype, lanes):
+        n, num = 90, 70
+        if lanes:
+            monkeypatch.setattr(operators, "_BLOCK_BYTES", 16 * 8 * n)
+            monkeypatch.setattr(operators, "_LANES", 2)
+        blocks = operators._column_blocks(n, num, np.dtype(dtype).itemsize)
+        assert (len(blocks) > 1) == lanes
+        rng = np.random.default_rng(4)
+        op = SymOperator.from_triplets(n, rng.integers(0, n, 300), rng.integers(0, n, 300),
+                                       rng.standard_normal(300))
+        iv = spectral_bounds(op)
+        z = draw_probes(n, num, seed=7, iteration=2, dtype=dtype)
+        packed = probe_gibbs(op, 2.0, iv, z)
+        dense = probe_gibbs(op, 2.0, iv, np.asarray(z))
+        assert packed.images.dtype == dtype
+        np.testing.assert_array_equal(packed.images, dense.images)
+        assert (packed.mass, packed.log_norm) == (dense.mass, dense.log_norm)
 
     def test_row_energies_and_mass(self):
         rng = np.random.default_rng(1)

@@ -29,10 +29,14 @@ def run_profile():
 def test_subcommand_writes_summary_and_average(run_profile, tmp_path, capsys,
                                                argv, stems):
     run_profile.main([*argv, "--out", str(tmp_path)])
-    assert capsys.readouterr().out.count("replicates ok") == len(stems)
+    out = capsys.readouterr().out
+    assert out.count("replicates ok") == out.count(" MB  avg -> ") == len(stems)
     for stem in stems:
         summary = json.loads((tmp_path / f"{stem}_summary.json").read_text())
         assert summary["succeeded"] == summary["replicate_count"]
+        # the process's running peak, in MB: a python process holding numpy
+        # and scipy is past 10 MB and, at these sizes, far below 10 GB
+        assert 10.0 < summary["peak_rss_mb"] < 10_000.0
         assert (tmp_path / f"{stem}_avg.csv").is_file()
 
 

@@ -18,7 +18,7 @@ from entrodual import operators
 from entrodual.norms import dual_norm, primal_norm
 from entrodual.datasets import PermSynchModel, gen_er_maxcut, gen_permsynch
 from entrodual.operators import SpectralInterval, SymOperator, spectral_bounds
-from entrodual.probes import draw_probes, probe_gibbs
+from entrodual.probes import PackedSigns, draw_probes, probe_gibbs
 from entrodual import solver as solver_module
 from entrodual.problems import (MaxCutProblem, OTProblem, StrongPermSyncProblem,
                                 WeakPermSyncProblem)
@@ -66,6 +66,12 @@ class TestConfig:
             SolverConfig(samples=0)
         with pytest.raises(ValueError, match="dense_oracle"):
             SolverConfig(dense_oracle="false")
+
+    def test_negative_seed_names_the_field(self):
+        # it was once accepted, and the solve died at iteration 0 with
+        # numpy's "expected non-negative integer"
+        with pytest.raises(ValueError, match="^seed must be nonnegative, got -1$"):
+            SolverConfig(seed=-1)
 
     def test_eta_above_inverse_beta_warns(self):
         p = random_ot(3, 3, beta=5.0)
@@ -264,24 +270,28 @@ class TestStochasticPath:
 
         def spy(op, beta, interval, z, work):
             batch = probe_gibbs(op, beta, interval, z, work=work)
-            seen.append((work, np.shares_memory(z, work["draw_probes"]),
-                         batch.images is work["expm_action"]))
+            seen.append((work, isinstance(z, PackedSigns), batch.images is work["expm_action"]))
             return batch
 
         monkeypatch.setattr(solver_module, "probe_gibbs", spy)
         solve(gen_er_maxcut(1030, seed=3), SolverConfig(iters=4, samples=300, seed=1))
         assert len(seen) == 4
-        assert all(work is seen[0][0] and kept_z and kept_images
-                   for work, kept_z, kept_images in seen)
+        # the probes stay packed, so the only probe-sized buffer is the images'
+        assert all(work is seen[0][0] and packed and kept_images
+                   for work, packed, kept_images in seen)
+        assert not any(np.shape(a) == (1030, 300) for key, a in seen[0][0].items()
+                       if key != "expm_action")
 
     @pytest.mark.parametrize("lane_count, blocks", [(1, 3), (2, 4)])
     def test_one_probe_block_in_flight(self, monkeypatch, lane_count, blocks):
         """A run holds one set of probe block buffers, reused by every
-        iteration, and no earlier batch: the float32 probe words and images
-        (8 n S bytes), three buffers per lane (4 n S for one lane of 70
-        columns, 6 n S for two of 52), and, while the interval is found, the
-        64 x n float64 Lanczos basis (2.5 n S). Keeping the last float64 batch
-        and widening the images took 25 and 27 n S."""
+        iteration, and no earlier batch: the float32 images (4 n S bytes),
+        the packed probe words (n S / 8), three buffers per lane (4 n S for
+        one lane of 70 columns, 6 n S for two of 52), each lane's unpacked
+        sign bits (a byte per entry of a block, 0.3 n S), and, while the
+        interval is found, the 64 x n float64 Lanczos basis (2.5 n S): 11 and
+        13 n S. A float32 block of the signs took 4 n S more, and keeping the
+        last float64 batch and widening the images 25 and 27 n S."""
         pool = ThreadPoolExecutor(max_workers=lane_count)
         monkeypatch.setattr(operators, "_LANES", lane_count)
         monkeypatch.setattr(operators, "_POOL", pool)
@@ -299,7 +309,7 @@ class TestStochasticPath:
                 tracemalloc.stop()
         finally:
             pool.shutdown()
-        assert peak < 20 * n * samples
+        assert peak < 15 * n * samples
 
     @pytest.mark.parametrize("make, lanczos, probe_products", [
         (lambda: gen_er_maxcut(300, seed=3, beta=10.0), 140, 143 * 76),
